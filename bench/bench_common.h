@@ -11,7 +11,6 @@
 ///   --cars=N         platoon size (default 3)
 ///   --repl=N         independent replications per grid point
 ///   --threads=N      campaign job workers (0 = hardware concurrency)
-///   --round-threads=N  round workers inside each job (1 = serial)
 ///   --csv=DIR        also write CSV/JSON outputs into DIR
 ///   --shard=i/N      run only shard i of N (whole grid points)
 ///   --partial-out=F  write this shard's partial result to F
@@ -63,7 +62,6 @@ inline runner::CampaignConfig campaignFromFlags(const Flags& flags,
   config.masterSeed = run.seed;
   config.replications = flags.getInt("repl", defaultReplications);
   config.threads = run.threads;
-  config.roundThreads = run.roundThreads;
   config.shard = runner::Shard{run.shard.index, run.shard.count};
   config.streaming = run.streaming;
   config.progress = run.progress;

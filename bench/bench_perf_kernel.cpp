@@ -7,9 +7,8 @@
 ///
 /// Every timed section reports mean +- CI95 wall time via RunningStats
 /// (no external benchmark framework). Flags are the shared campaign CLI
-/// (--seed, --round-threads; see util/flags.h) plus:
+/// (--seed, --threads; see util/flags.h) plus:
 ///   --iters=N   timing repetitions per section (default 10)
-///   --laps=N    rounds of the experiment-level timing (default 8)
 ///   --json=PATH machine-readable result document ("vanet-bench" schema,
 ///               see docs/observability.md); bare --json auto-names it
 ///               BENCH_<git-rev>.json in the working directory. This is
@@ -431,12 +430,11 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   {
     std::vector<std::string> names = campaignFlagNames();
-    names.insert(names.end(), {"iters", "laps", "json"});
+    names.insert(names.end(), {"iters", "json"});
     flags.allowOnly(names);
   }
   const CampaignRunFlags run = campaignRunFlags(flags, /*defaultSeed=*/11);
   const int iters = flags.getInt("iters", 10);
-  const int laps = flags.getInt("laps", 8);
 
   std::vector<KernelResult> kernels;
   const auto timeKernel = [&](const char* schemaName, const char* label,
@@ -515,32 +513,6 @@ int main(int argc, char** argv) {
   timeKernel("partial_merge_bin", "partial merge bin (4 shards)",
              timePartialMerge(binShards, iters, /*binary=*/true),
              partialPoints, "points");
-
-  // Experiment-level wall: the round engine at --round-threads workers
-  // against the serial fold (same bytes, fewer seconds).
-  analysis::UrbanExperimentConfig config;
-  config.rounds = laps;
-  config.seed = run.seed;
-  config.roundThreads = 1;
-  auto start = Clock::now();
-  analysis::UrbanExperimentResult serial =
-      analysis::UrbanExperiment(config).run();
-  const double serialWall = secondsSince(start);
-  std::printf("\n%d-round experiment, serial fold:      %8.3f s\n", laps,
-              serialWall);
-  if (run.roundThreads != 1) {
-    config.roundThreads = run.roundThreads;
-    start = Clock::now();
-    analysis::UrbanExperimentResult parallel =
-        analysis::UrbanExperiment(config).run();
-    const double parallelWall = secondsSince(start);
-    std::printf("%d-round experiment, %d round workers: %8.3f s "
-                "(speedup %.2fx)\n",
-                laps, parallel.roundWorkers, parallelWall,
-                serialWall / parallelWall);
-    gSink += static_cast<std::uint64_t>(parallel.totals.medium.framesDelivered);
-  }
-  gSink += static_cast<std::uint64_t>(serial.totals.medium.framesDelivered);
 
   // End-to-end campaign throughput for the trajectory document.
   const runner::CampaignResult campaign =

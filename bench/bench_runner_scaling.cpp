@@ -6,7 +6,7 @@
 /// guarantee: results depend on (config, master seed) only, never on
 /// scheduling).
 ///
-/// Six modes:
+/// Five modes:
 ///   default     highway speed x coop grid; compares campaignPointsJson()
 ///   --figures   urban campaign carrying FlowFigure series; compares the
 ///               emitted figure CSVs (exercises FlowFigure::merge, the
@@ -17,10 +17,6 @@
 ///   --shard     splits the campaign into 2 and 3 shards, folds the
 ///               partials back with the merge pipeline, and compares
 ///               against the unsharded single-thread run
-///   --rounds    round-parallel speedup on a ONE-grid-point campaign
-///               (--laps rounds inside a single job): runs the round
-///               engine at 1/2/4/N workers and byte-compares Table-1
-///               JSON *and* every figure CSV against the serial run
 ///   --adaptive  CI95-targeted replication (--target-ci / --min-reps /
 ///               --max-reps): the wave schedule must be a pure function
 ///               of the fold state, so the adaptive campaign is
@@ -37,7 +33,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -171,96 +166,25 @@ int runAdaptiveMode(vanet::runner::CampaignConfig campaign) {
   return allIdentical ? 0 : 1;
 }
 
-/// --rounds: a single-point campaign leaves the job axis with nothing to
-/// parallelise; all speedup must come from the round engine inside the
-/// one experiment. Byte-compares the merged Table-1/metrics JSON and the
-/// figure CSVs of every round-worker count against the serial run.
-int runRoundsMode(const vanet::Flags& flags) {
-  namespace runner = vanet::runner;
-  runner::CampaignConfig campaign;
-  campaign.scenario = "urban";
-  campaign.masterSeed = flags.getUInt64("seed", 2008);
-  campaign.replications = flags.getInt("repl", 1);
-  campaign.threads = 1;
-  campaign.base.set("rounds", flags.getInt("laps", 8));
-  campaign.base.set("cars", flags.getInt("cars", 3));
-
-  const int hardware = vanet::util::hardwareThreads();
-  std::vector<int> workerCounts{1, 2, 4};
-  if (hardware > 4) workerCounts.push_back(hardware);
-  // The study measures the engine, not this machine's core count: give
-  // the shared budget room for the largest worker count (restored below).
-  vanet::util::ThreadBudget& budget = vanet::util::ThreadBudget::global();
-  budget.setLimit(*std::max_element(workerCounts.begin(), workerCounts.end()) +
-                  1);
-
-  std::cout << "1 grid point x " << campaign.replications
-            << " replication(s) x " << campaign.base.get("rounds", 0)
-            << " rounds (hardware concurrency: " << hardware << ")\n\n";
-  std::cout << std::left << std::setw(14) << "round workers" << std::right
-            << std::setw(12) << "wall s" << std::setw(12) << "speedup"
-            << std::setw(16) << "identical" << "\n";
-
-  std::string reference;
-  double serialWall = 0.0;
-  bool allIdentical = true;
-  for (const int workers : workerCounts) {
-    campaign.roundThreads = workers;
-    const runner::CampaignResult result = runner::runCampaign(campaign);
-    // Table-1 + protocol totals + metrics land in the points JSON; the
-    // figure CSVs carry every per-packet series. Byte equality of both
-    // is bit-identity of everything the campaign emits.
-    const std::string merged =
-        runner::campaignPointsJson(result) + allFigureCsvs(result);
-    if (workers == 1) {
-      reference = merged;
-      serialWall = result.wallSeconds;
-    }
-    const bool identical = merged == reference;
-    allIdentical = allIdentical && identical;
-    std::cout << std::left << std::setw(14) << workers << std::right
-              << std::fixed << std::setprecision(2) << std::setw(12)
-              << result.wallSeconds << std::setw(11)
-              << serialWall / result.wallSeconds << "x" << std::setw(16)
-              << (identical ? "yes" : "NO") << "\n";
-  }
-  budget.setLimit(0);  // back to hardware concurrency
-
-  std::cout << "\nround-parallel Table-1 + figure CSVs bit-identical to the"
-               " serial run: "
-            << (allIdentical ? "yes" : "NO") << "\n";
-  std::cout << "expected shape: wall time drops with round workers up to the"
-               " core count; the\nidentical column must read yes everywhere"
-               " -- every round owns a private RNG\nchild of (seed, round"
-               " index) and outcomes fold strictly in round order\n";
-  return allIdentical ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace vanet;
   const Flags flags(argc, argv);
   flags.allowOnly(bench::benchFlagNames(
-      {"figures", "batched", "adaptive", "laps", "max-threads"}));
+      {"figures", "batched", "adaptive", "max-threads"}));
   const bool figures = flags.getBool("figures", false);
   const bool batched = flags.getBool("batched", false);
   const bool adaptive = flags.getBool("adaptive", false);
   const bool shardMode = flags.getString("shard", "") == "true";
-  // A bare `--rounds` selects the round-engine mode; `--rounds=N` stays
-  // the shared rounds-per-replication knob of the other modes.
-  const bool roundsMode = flags.getString("rounds", "") == "true";
   bench::printHeader(
       figures    ? "Campaign engine: figure-series merge determinism"
       : batched  ? "Campaign engine: streaming (bounded-memory) determinism"
       : adaptive ? "Campaign engine: adaptive (CI95-targeted) replication "
                    "determinism"
       : shardMode? "Campaign engine: shard + merge determinism"
-      : roundsMode
-          ? "Round engine: intra-experiment parallel scaling and determinism"
-          : "Campaign engine: parallel scaling and determinism",
+                 : "Campaign engine: parallel scaling and determinism",
       "engine study (no paper counterpart)");
-  if (roundsMode) return runRoundsMode(flags);
 
   runner::CampaignConfig campaign;
   if (figures) {

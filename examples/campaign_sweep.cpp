@@ -4,7 +4,6 @@
 /// emit the merged results as console summary, CSV and JSON.
 ///
 ///   $ ./example_campaign_sweep [--repl=4] [--threads=0] [--seed=2008]
-///       [--round-threads=1] (round workers inside each job)
 ///       [--out=DIR] (write DIR/campaign.csv and DIR/campaign.json)
 ///       [--shard=i/N] [--partial-out=FILE] [--streaming]
 ///
@@ -44,7 +43,6 @@ int main(int argc, char** argv) {
   campaign.masterSeed = run.seed;
   campaign.replications = flags.getInt("repl", 4);
   campaign.threads = run.threads;
-  campaign.roundThreads = run.roundThreads;
   campaign.shard = runner::Shard{run.shard.index, run.shard.count};
   campaign.streaming = run.streaming;
   campaign.progress = run.progress;

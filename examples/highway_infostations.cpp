@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   using namespace vanet;
   const Flags flags(argc, argv);
   flags.allowOnly({"file", "rounds", "aps", "spacing", "cars", "speed-kmh",
-                   "seed", "round-threads", "log-level"});
+                   "seed", "log-level"});
 
   const SeqNo fileSize = static_cast<SeqNo>(flags.getInt("file", 220));
   const int rounds = flags.getInt("rounds", 5);
@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
         config.scenario.firstApArc +
         config.scenario.apSpacing * (config.scenario.apCount - 1) + 500.0;
     config.scenario.speedMps = flags.getDouble("speed-kmh", 50.0) / 3.6;
-    config.roundThreads = flags.getInt("round-threads", 1);
     config.carq.fileSizeSeqs = fileSize;
     config.carq.cooperationEnabled = coop;
 

@@ -5,7 +5,6 @@
 ///
 ///   $ ./urban_loop --rounds=30 --seed=2008 --cars=3
 ///       [--speed-kmh=20] [--no-coop] [--batched] [--csv=outdir]
-///       [--round-threads=1] (parallelise the rounds; same bytes)
 ///       [--figures] (print Figures 3-8 as well)
 
 #include <iostream>
@@ -19,9 +18,8 @@
 int main(int argc, char** argv) {
   using namespace vanet;
   const Flags flags(argc, argv);
-  flags.allowOnly({"rounds", "seed", "cars", "speed-kmh", "gap",
-                   "round-threads", "no-coop", "batched", "figures", "csv",
-                   "log-level"});
+  flags.allowOnly({"rounds", "seed", "cars", "speed-kmh", "gap", "no-coop",
+                   "batched", "figures", "csv", "log-level"});
 
   analysis::UrbanExperimentConfig config;
   config.rounds = flags.getInt("rounds", 30);
@@ -29,7 +27,6 @@ int main(int argc, char** argv) {
   config.scenario.carCount = flags.getInt("cars", 3);
   config.scenario.baseSpeedMps = flags.getDouble("speed-kmh", 20.0) / 3.6;
   config.scenario.gapSeconds = flags.getDouble("gap", 4.0);
-  config.roundThreads = flags.getInt("round-threads", 1);
   config.carq.cooperationEnabled = !flags.getBool("no-coop", false);
   if (flags.getBool("batched", false)) {
     config.carq.requestMode = carq::RequestMode::kBatched;

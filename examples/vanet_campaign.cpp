@@ -8,7 +8,7 @@
 ///       Runs the spec. The experiment definition (scenario, cases,
 ///       grid, seed, replication policy, emit list) lives entirely in
 ///       the spec; the flags steer only the engine:
-///         --threads=N --round-threads=N --shard=i/N --streaming
+///         --threads=N --shard=i/N --streaming
 ///         --checkpoint=F --resume --halt-after-waves=K
 ///         --partial-out=F --partial-format=bin|json
 ///         --progress --log-level=L
@@ -80,9 +80,9 @@ int main(int argc, char** argv) {
   // Engine knobs only: the experiment definition is the spec's. No
   // --seed / --rounds / --target-ci here by design -- edit the spec.
   std::vector<std::string> known = {
-      "threads",    "round-threads",    "shard",     "partial-out",
-      "partial-format", "checkpoint",   "resume",    "halt-after-waves",
-      "streaming",  "progress",         "log-level", "csv"};
+      "threads",    "shard",            "partial-out", "partial-format",
+      "checkpoint", "resume",           "halt-after-waves", "streaming",
+      "progress",   "log-level",        "csv"};
   flags.allowOnly(known);
 
   runner::CampaignSpec spec;

@@ -7,16 +7,14 @@
 ///                            (makeRound, channel/link assembly, nodes)
 ///   kernel  round.h          runUrbanRound / runHighwayRound: pure
 ///                            (config, scenario, roundIndex) -> outcome
-///   fold    this file        UrbanExperiment / HighwayExperiment feed
-///                            round outcomes -- strictly in round order,
-///                            through the bounded reordering window of
-///                            util/reorder.h -- into the Table-1 / figure
+///   fold    this file        UrbanExperiment / HighwayExperiment run
+///                            the rounds serially and feed the outcomes,
+///                            in round order, into the Table-1 / figure
 ///                            accumulators and protocol totals
 ///
-/// Rounds are independent given the per-round Rng children, so the fold
-/// layer runs them on `roundThreads` workers drawn from the shared
-/// util::ThreadBudget; because outcomes fold in round order the results
-/// are bit-identical to the serial loop at any worker count.
+/// Rounds are independent given the per-round Rng children; parallelism
+/// lives one level up, in the campaign executor's (point, replication)
+/// jobs (src/runner/executor.h).
 ///
 /// UrbanExperiment reproduces the paper's testbed (30 laps of the
 /// Figure-2 loop); HighwayExperiment runs the drive-thru / Infostation
@@ -110,17 +108,11 @@ struct UrbanExperimentConfig {
   int repeatCount = 1;  ///< AP blind retransmissions (ablation)
   int rounds = 30;      ///< paper: 30
   std::uint64_t seed = 42;
-  /// Round workers for run(): 1 = serial, 0 = whatever the shared
-  /// util::ThreadBudget has left, N = up to N (degrades gracefully when
-  /// the budget is short). The result is bit-identical for every value.
-  int roundThreads = 1;
 };
 
 /// What one round kernel produces: the trace plus this round's protocol
-/// deltas. A pure value -- merging outcomes in round order reproduces the
-/// serial accumulation exactly, which is what makes round parallelism
-/// invisible in the results. Not default-constructible: a trace always
-/// belongs to a concrete platoon.
+/// deltas. A pure value: run() merges outcomes in round order. Not
+/// default-constructible: a trace always belongs to a concrete platoon.
 struct UrbanRoundOutcome {
   trace::RoundTrace trace;
   ProtocolTotals totals;  ///< this round's counter samples only
@@ -132,7 +124,6 @@ struct UrbanExperimentResult {
   std::map<FlowId, trace::FlowFigure> figures;
   ProtocolTotals totals;
   int rounds = 0;
-  int roundWorkers = 1;  ///< round workers the fold layer actually used
 };
 
 /// Drives `rounds` laps and aggregates the paper's outputs (fold layer).
@@ -140,8 +131,8 @@ class UrbanExperiment {
  public:
   explicit UrbanExperiment(UrbanExperimentConfig config);
 
-  /// Runs every round and aggregates. Deterministic in (config, seed)
-  /// for any roundThreads value.
+  /// Runs every round in order and aggregates. Deterministic in
+  /// (config, seed).
   UrbanExperimentResult run();
 
   /// The round kernel: runs one round and returns its outcome. Pure in
@@ -176,8 +167,6 @@ struct HighwayExperimentConfig {
   int payloadBytes = 1000;
   int rounds = 10;
   std::uint64_t seed = 42;
-  /// Round workers for run(); see UrbanExperimentConfig::roundThreads.
-  int roundThreads = 1;
 };
 
 /// Per-car outcome of the highway studies.
@@ -207,7 +196,6 @@ struct HighwayExperimentResult {
   std::map<NodeId, HighwayCarResult> cars;
   ProtocolTotals totals;
   int rounds = 0;
-  int roundWorkers = 1;  ///< round workers the fold layer actually used
 };
 
 /// Drives the highway scenario `rounds` times (fold layer).
@@ -215,7 +203,7 @@ class HighwayExperiment {
  public:
   explicit HighwayExperiment(HighwayExperimentConfig config);
 
-  /// Deterministic in (config, seed) for any roundThreads value.
+  /// Runs every round in order; deterministic in (config, seed).
   HighwayExperimentResult run();
 
   /// The round kernel: pure in (config, roundIndex).

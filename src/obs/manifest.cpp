@@ -167,7 +167,6 @@ std::string manifestJson(const RunManifest& manifest) {
   out += "\"scenario\":" + quote(manifest.scenario) + ",\n";
   out += "\"master_seed\":" + std::to_string(manifest.masterSeed) + ",\n";
   out += "\"threads\":" + std::to_string(manifest.threads) + ",\n";
-  out += "\"round_threads\":" + std::to_string(manifest.roundThreads) + ",\n";
   out += "\"shard_index\":" + std::to_string(manifest.shardIndex) + ",\n";
   out += "\"shard_count\":" + std::to_string(manifest.shardCount) + ",\n";
   out += std::string("\"streaming\":") +
@@ -208,7 +207,6 @@ RunManifest manifestFromJson(const std::string& text) {
   manifest.scenario = doc.at("scenario").asString();
   manifest.masterSeed = doc.at("master_seed").asUInt64();
   manifest.threads = static_cast<int>(doc.at("threads").asInt64());
-  manifest.roundThreads = static_cast<int>(doc.at("round_threads").asInt64());
   manifest.shardIndex = static_cast<int>(doc.at("shard_index").asInt64());
   manifest.shardCount = static_cast<int>(doc.at("shard_count").asInt64());
   manifest.streaming = doc.at("streaming").asBool();

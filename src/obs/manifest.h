@@ -5,9 +5,9 @@
 /// a study directory is self-describing. For each JSON/CSV artefact
 /// `<out>`, the writer drops `<out>.manifest.json` next to it recording
 /// *how the bytes were produced*: git revision and build flags of the
-/// binary, the full command line, the master seed, the parallelism axes
-/// (threads / round-threads / shard / streaming), wall time, and the
-/// per-point replication / achieved-CI table.
+/// binary, the full command line, the master seed, the parallelism
+/// settings (threads / shard / streaming), wall time, and the per-point
+/// replication / achieved-CI table.
 ///
 /// Manifests are out-of-band observability: they are separate files, so
 /// the byte-diff determinism checks on the artefacts themselves are
@@ -42,7 +42,6 @@ struct RunManifest {
   std::string scenario;
   std::uint64_t masterSeed = 0;
   int threads = 0;
-  int roundThreads = 0;
   int shardIndex = 0;
   int shardCount = 1;
   bool streaming = false;

@@ -59,7 +59,6 @@ JobResult runJob(const CampaignPlan& plan, const JobSpec& spec) {
   context.seed = spec.seed;
   context.replication = spec.replication;
   context.jobIndex = spec.globalIndex;
-  context.roundThreads = plan.roundThreads();
   try {
     JobResult result = plan.scenario().run(context);
     OBS_COUNT("campaign.jobs_run");
@@ -111,8 +110,7 @@ std::size_t executeWaveBuffered(const CampaignPlan& plan,
 }
 
 /// Streaming backend: the bounded job-order reordering window of
-/// util/reorder.h (the machinery originally lived here; the experiment
-/// layer's round engine now folds through the same template).
+/// util/reorder.h.
 std::size_t executeWaveStreaming(const CampaignPlan& plan,
                                  const std::vector<WaveJob>& jobs, int threads,
                                  CampaignAccumulator& into,
@@ -144,13 +142,6 @@ ExecutionStats executeCampaign(const CampaignPlan& plan, int requestedThreads,
   ExecutionStats stats;
   stats.threads = resolveThreadCount(requestedThreads, jobCount);
   stats.streaming = streaming;
-
-  // Record the job workers in the global budget (force: an explicit
-  // --threads count is an instruction). Round engines nested inside the
-  // jobs draw *their* workers from what remains, so one budget splits as
-  // jobs x round-workers instead of the two layers multiplying.
-  const util::ThreadLease lease(util::ThreadBudget::global(), stats.threads,
-                                /*force=*/true);
 
   const auto started = std::chrono::steady_clock::now();
 

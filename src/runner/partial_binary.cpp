@@ -303,6 +303,14 @@ CampaignPartial parseCampaignPartialBinary(std::string_view data) {
         parseCheckpointSection(in, partial);
         break;
       case kSectionPoints: {
+        // Every record carries at least its u64 length framing.
+        if (pointCount > in.remaining() / 8) {
+          throw std::runtime_error(
+              "header point count " + std::to_string(pointCount) +
+              " cannot fit the " + std::to_string(entry.length) +
+              "-byte points section at byte offset " +
+              std::to_string(entry.offset));
+        }
         partial.points.reserve(pointCount);
         for (std::uint64_t k = 0; k < pointCount; ++k) {
           try {
@@ -337,6 +345,13 @@ PartialBinaryFileReader::PartialBinaryFileReader(const std::string& path)
     throw std::runtime_error("cannot open " + path + " for reading");
   }
   try {
+    // The file size bounds every stored length before it sizes a buffer.
+    const long size =
+        std::fseek(file_, 0, SEEK_END) == 0 ? std::ftell(file_) : -1;
+    if (size < 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
+      fail("cannot determine the file size");
+    }
+    fileSize_ = static_cast<std::uint64_t>(size);
     // Prologue: magic, version, section count, then the table.
     std::string prefix(kProloguePrefix, '\0');
     readExact(prefix.data(), prefix.size(), "file prologue");
@@ -397,6 +412,9 @@ PartialBinaryFileReader::PartialBinaryFileReader(const std::string& path)
     std::uint64_t pointCount = 0;
     for (std::size_t s = 0; s + 1 < table.size(); ++s) {
       const SectionEntry& entry = table[s];
+      requireFileBytes(entry.length, entry.id == kSectionHeader
+                                         ? "header section"
+                                         : "checkpoint section");
       std::string payload(entry.length, '\0');
       readExact(payload.data(), payload.size(),
                 entry.id == kSectionHeader ? "header section"
@@ -409,6 +427,7 @@ PartialBinaryFileReader::PartialBinaryFileReader(const std::string& path)
       }
     }
     header_.sourcePath = path_;
+    pointsLeft_ = table.back().length;
     remaining_ = static_cast<std::size_t>(pointCount);
     if (remaining_ == 0) {
       // Zero-point shard: nothing will call into the record loop, so the
@@ -431,15 +450,26 @@ void PartialBinaryFileReader::fail(const std::string& message) const {
   throw std::runtime_error(path_ + ": " + message);
 }
 
+void PartialBinaryFileReader::failTruncated(std::uint64_t need,
+                                            std::uint64_t have,
+                                            const char* what) const {
+  fail("truncated at byte offset " + std::to_string(fileOffset_ + have) +
+       " while reading " + what + " (need " + std::to_string(need) +
+       " bytes, have " + std::to_string(have) + ")");
+}
+
+void PartialBinaryFileReader::requireFileBytes(std::uint64_t size,
+                                               const char* what) const {
+  const std::uint64_t have =
+      fileSize_ > fileOffset_ ? fileSize_ - fileOffset_ : 0;
+  if (size > have) failTruncated(size, have, what);
+}
+
 void PartialBinaryFileReader::readExact(void* into, std::size_t size,
                                         const char* what) {
   if (size == 0) return;
   const std::size_t got = std::fread(into, 1, size, file_);
-  if (got != size) {
-    fail("truncated at byte offset " + std::to_string(fileOffset_ + got) +
-         " while reading " + what + " (need " + std::to_string(size) +
-         " bytes, have " + std::to_string(got) + ")");
-  }
+  if (got != size) failTruncated(size, got, what);
   runningHash_ = util::fnv1a64(into, size, runningHash_);
   fileOffset_ += size;
 }
@@ -473,6 +503,17 @@ bool PartialBinaryFileReader::nextPoint(GridPointSummary& out) {
   BinReader lenReader(std::string_view(lenBytes, sizeof lenBytes),
                       fileOffset_ - sizeof lenBytes);
   const std::uint64_t recordLen = lenReader.u64("point record length");
+  // Bound the stored length by the bytes really left -- in the points
+  // section, then in the file -- before it sizes the buffer.
+  const std::uint64_t sectionLeft = pointsLeft_ >= 8 ? pointsLeft_ - 8 : 0;
+  if (recordLen > sectionLeft) {
+    fail("point record " + std::to_string(streamed_ + 1) + ": length " +
+         std::to_string(recordLen) + " at byte offset " +
+         std::to_string(fileOffset_ - sizeof lenBytes) + " exceeds the " +
+         std::to_string(sectionLeft) + " bytes left in the points section");
+  }
+  requireFileBytes(recordLen, "point record");
+  pointsLeft_ = sectionLeft - recordLen;
   recordBuf_.resize(static_cast<std::size_t>(recordLen));
   const std::size_t recordOffset = fileOffset_;
   readExact(recordBuf_.data(), recordBuf_.size(), "point record");

@@ -81,17 +81,24 @@ class PartialBinaryFileReader {
   bool nextPoint(GridPointSummary& out);
 
  private:
-  void fail(const std::string& message) const;
+  [[noreturn]] void fail(const std::string& message) const;
+  [[noreturn]] void failTruncated(std::uint64_t need, std::uint64_t have,
+                                  const char* what) const;
+  /// Fails as a truncation unless `size` more bytes exist in the file;
+  /// checks a stored length before it sizes a buffer.
+  void requireFileBytes(std::uint64_t size, const char* what) const;
   void readExact(void* into, std::size_t size, const char* what);
 
   std::string path_;
   std::FILE* file_ = nullptr;
   CampaignPartial header_;
-  std::size_t remaining_ = 0;   ///< point records left to stream
-  std::size_t streamed_ = 0;    ///< point records already decoded
-  std::size_t fileOffset_ = 0;  ///< bytes consumed so far
-  std::uint64_t runningHash_;   ///< FNV-1a over every byte before checksum
-  std::string recordBuf_;       ///< reusable per-record buffer
+  std::size_t remaining_ = 0;      ///< point records left to stream
+  std::size_t streamed_ = 0;       ///< point records already decoded
+  std::size_t fileOffset_ = 0;     ///< bytes consumed so far
+  std::uint64_t fileSize_ = 0;     ///< bytes in the file when opened
+  std::uint64_t pointsLeft_ = 0;   ///< points-section bytes not yet read
+  std::uint64_t runningHash_;      ///< FNV-1a over every byte before checksum
+  std::string recordBuf_;          ///< reusable per-record buffer
 };
 
 }  // namespace vanet::runner

@@ -77,16 +77,6 @@ struct CampaignConfig {
   std::uint64_t masterSeed = 2008;
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   int threads = 0;
-  /// Round workers *inside* each job's experiment (rounds are independent
-  /// given the per-round RNG children, so they parallelise too): 1 runs
-  /// rounds serially, 0 claims whatever the shared thread budget has
-  /// left, N asks for N. Nested under busy job workers the round engine
-  /// degrades gracefully toward inline execution -- the combined jobs x
-  /// round-workers never oversubscribes the budget -- and the merged
-  /// bytes are identical for every value. Prefer job parallelism for
-  /// many-point campaigns; round workers exist for low-point-count,
-  /// high-round campaigns that would otherwise idle most cores.
-  int roundThreads = 1;
   /// Which slice of the grid this process runs; {0, 1} = everything.
   Shard shard{};
   /// Stream job results through a bounded reordering window instead of
@@ -145,7 +135,6 @@ class CampaignPlan {
   /// pointIndex * replications() + replication whether or not a point
   /// ends up running all of them.
   int replications() const noexcept { return replications_; }
-  int roundThreads() const noexcept { return roundThreads_; }
   Shard shard() const noexcept { return shard_; }
 
   /// Adaptive-replication vocabulary (see CampaignConfig). adaptive()
@@ -208,7 +197,6 @@ class CampaignPlan {
   double targetRelativeCi95_ = 0.0;
   int minReplications_ = 1;
   std::string targetMetric_;
-  int roundThreads_ = 1;
   Shard shard_{};
   std::vector<PlannedPoint> points_;
   std::vector<std::size_t> shardPoints_;

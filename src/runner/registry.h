@@ -34,10 +34,6 @@ struct JobContext {
   std::uint64_t seed = 0;    ///< per-job stream; see Rng::deriveStreamSeed
   int replication = 0;       ///< 0-based replication index at this point
   std::size_t jobIndex = 0;  ///< global index in the campaign work-list
-  /// Round workers the experiment may use (CampaignConfig::roundThreads;
-  /// an engine knob, deliberately not a ParamSet entry so it never lands
-  /// in emitted params). Results are identical for every value.
-  int roundThreads = 1;
 };
 
 /// What one job returns. `table1`, `figures` and `totals` merge across
@@ -128,7 +124,7 @@ std::string renderScenarioList();
 ///   #include "runner/registry.h"
 ///   namespace {
 ///   vanet::runner::JobResult runMine(const vanet::runner::JobContext& ctx) {
-///     ...  // ctx.params, ctx.seed, ctx.roundThreads
+///     ...  // ctx.params, ctx.seed, ctx.replication
 ///   }
 ///   vanet::runner::ScenarioRegistrar registerMine{{
 ///       "mine",

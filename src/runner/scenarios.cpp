@@ -147,7 +147,6 @@ analysis::UrbanExperimentConfig urbanConfig(const JobContext& job) {
   analysis::UrbanExperimentConfig config;
   config.rounds = job.params.getInt("rounds", 30);
   config.seed = job.seed;
-  config.roundThreads = job.roundThreads;
   config.scenario.carCount = job.params.getInt("cars", 3);
   config.scenario.baseSpeedMps = job.params.get("speed_kmh", 20.0) / 3.6;
   config.scenario.gapSeconds =
@@ -161,7 +160,6 @@ analysis::HighwayExperimentConfig highwayConfig(const JobContext& job) {
   analysis::HighwayExperimentConfig config;
   config.rounds = job.params.getInt("rounds", 15);
   config.seed = job.seed;
-  config.roundThreads = job.roundThreads;
   config.scenario.carCount = job.params.getInt("cars", 3);
   config.scenario.speedMps = job.params.get("speed_kmh", 80.0) / 3.6;
   config.scenario.apCount = job.params.getInt("aps", 1);

@@ -120,8 +120,8 @@ std::uint64_t campaignSpecDigest(const CampaignSpec& spec);
 /// from flags with applyEngineFlags().
 CampaignConfig campaignConfigFromSpec(const CampaignSpec& spec);
 
-/// The engine half: copies the shared run flags (threads, round workers,
-/// shard, streaming, progress, checkpoint/resume, halt-after-waves) onto
+/// The engine half: copies the shared run flags (threads, shard,
+/// streaming, progress, checkpoint/resume, halt-after-waves) onto
 /// `config` without touching the experiment definition. Seed and the
 /// adaptive policy are deliberately *not* applied — they belong to the
 /// spec (benches that keep flag overrides for them layer those on

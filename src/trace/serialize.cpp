@@ -1,5 +1,6 @@
 #include "trace/serialize.h"
 
+#include <cstddef>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -172,6 +173,9 @@ void seriesToBin(util::BinWriter& out, const SeriesAccumulator& series) {
 
 SeriesAccumulator seriesFromBin(util::BinReader& in) {
   const std::uint32_t count = in.u32("series cell count");
+  // Every cell is at least its u64 count: bound the reservation by the
+  // bytes actually left before trusting the stored count.
+  in.need(std::size_t{count} * 8, "series cells");
   std::vector<RunningStats> cells;
   cells.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -197,6 +201,8 @@ Table1Data table1FromBin(util::BinReader& in) {
   data.rounds = in.i64("table1 rounds");
   const auto columns = table1Columns();
   const std::uint32_t rowCount = in.u32("table1 row count");
+  // A row is at least its i32 car id plus one u64 count per column.
+  in.need(std::size_t{rowCount} * (4 + 8 * columns.size()), "table1 rows");
   data.rows.reserve(rowCount);
   for (std::uint32_t r = 0; r < rowCount; ++r) {
     Table1Row row;

@@ -145,10 +145,10 @@ void Flags::allowOnly(const std::vector<std::string>& known) const {
 }
 
 std::vector<std::string> campaignFlagNames() {
-  return {"seed",        "threads",      "round-threads",    "shard",
-          "partial-out", "partial-format", "checkpoint",     "resume",
-          "halt-after-waves", "streaming", "target-ci",      "min-reps",
-          "max-reps",    "target-metric", "progress",        "log-level"};
+  return {"seed",        "threads",        "shard",      "partial-out",
+          "partial-format", "checkpoint",  "resume",     "halt-after-waves",
+          "streaming",   "target-ci",      "min-reps",   "max-reps",
+          "target-metric", "progress",     "log-level"};
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {
@@ -166,7 +166,6 @@ CampaignRunFlags campaignRunFlags(const Flags& flags,
   CampaignRunFlags run;
   run.seed = flags.getUInt64("seed", defaultSeed);
   run.threads = flags.getInt("threads", 0);
-  run.roundThreads = flags.getInt("round-threads", 1);
   run.shard = flags.getShard("shard");
   run.partialOut = flags.getString("partial-out", "");
   run.partialFormat = flags.getString("partial-format", "");

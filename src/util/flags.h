@@ -68,10 +68,6 @@ std::vector<std::string> campaignFlagNames();
 /// parser instead of per-binary copies):
 ///   --seed=S           master seed
 ///   --threads=N        campaign job workers (0 = hardware concurrency)
-///   --round-threads=N  round workers inside each job's experiment
-///                      (1 = serial rounds, 0 = whatever the shared
-///                      thread budget has left); results are identical
-///                      for every value
 ///   --shard=i/N        run shard i of N (whole grid points)
 ///   --partial-out=F    write this shard's partial result to F
 ///   --partial-format=X partial encoding: "bin" (compact binary v3) or
@@ -103,7 +99,6 @@ std::vector<std::string> campaignFlagNames();
 struct CampaignRunFlags {
   std::uint64_t seed = 2008;
   int threads = 0;
-  int roundThreads = 1;
   ShardSpec shard{};
   std::string partialOut;
   /// Partial-file encoding: "bin", "json", or empty for the format-auto

@@ -163,9 +163,15 @@ class Parser {
     skipSpace();
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        if (depth_ == kMaxNestingDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxNestingDepth));
+        }
+        ++depth_;
+        Value v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"':
         return string();
       case 't':
@@ -329,6 +335,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 Value parse(const std::string& text) { return Parser(text).document(); }

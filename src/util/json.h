@@ -64,9 +64,15 @@ class Value {
   std::vector<std::pair<std::string, Value>> object_;
 };
 
+/// Deepest array/object nesting parse() accepts. Committed specs,
+/// manifests and BENCH documents nest fewer than ten levels; the limit
+/// keeps hostile input from exhausting the stack of the recursive
+/// parser.
+inline constexpr int kMaxNestingDepth = 512;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
 /// garbage is an error). Throws std::runtime_error with a byte offset on
-/// malformed input.
+/// malformed input, including nesting deeper than kMaxNestingDepth.
 Value parse(const std::string& text);
 
 }  // namespace vanet::json

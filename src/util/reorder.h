@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file reorder.h
-/// Bounded index-order reordering window, hoisted from the campaign
-/// executor's streaming backend so the intra-experiment round engine can
-/// fold round outcomes through the exact same machinery.
+/// Bounded index-order reordering window: the campaign executor's
+/// job-order fold (src/runner/executor.cpp).
 ///
 /// The shape: jobs 0..count-1 complete on worker threads in any order;
 /// completed results are *parked* keyed by index, and the worker whose

@@ -1,30 +1,12 @@
 #pragma once
 
 /// \file thread_pool.h
-/// The process-wide worker-thread vocabulary shared by every parallel
-/// layer: the campaign executor (src/runner/executor.cpp) and the
-/// intra-experiment round engine (src/analysis/experiment.cpp) both draw
-/// their workers from one ThreadBudget, so a single `--threads` budget
-/// splits as campaign jobs x round workers instead of two layers each
-/// spawning hardware_concurrency threads on top of each other.
-///
-/// Conventions:
-///
-///  - The budget counts threads *participating in parallel regions*,
-///    including the calling thread of each region. A layer that resolves
-///    an explicit user request (`--threads=N`) acquires with force=true:
-///    the request is an instruction and is always honoured, it merely
-///    records the usage. A layer expanding inside another one (the round
-///    engine under a campaign job) acquires without force: it receives
-///    only what keeps the budget within its limit, degrading gracefully
-///    to inline execution when nothing is left -- no oversubscription.
-///  - Grant sizes never influence results: every consumer folds its
-///    outputs in index order (util/reorder.h), so the bytes are a pure
-///    function of the configuration, not of how many workers the budget
-///    happened to have free.
+/// The worker-thread vocabulary of the campaign executor
+/// (src/runner/executor.cpp) and util/reorder.h's ordered fold: the one
+/// parallel layer, whose job outputs fold in index order, so the bytes
+/// never depend on the worker count.
 
 #include <functional>
-#include <mutex>
 
 namespace vanet::util {
 
@@ -37,57 +19,5 @@ int hardwareThreads() noexcept;
 /// `worker` must not throw (wrap the body, park the error, rethrow after
 /// -- see util/reorder.h's foldOrdered for the canonical pattern).
 void runWorkers(int workers, const std::function<void()>& worker);
-
-/// A reservation counter for worker threads. Thread-safe.
-class ThreadBudget {
- public:
-  /// The process-wide budget every layer shares. Limit defaults to
-  /// hardwareThreads().
-  static ThreadBudget& global();
-
-  ThreadBudget() noexcept;
-  /// `limit` <= 0 selects hardwareThreads().
-  explicit ThreadBudget(int limit) noexcept;
-
-  /// Replaces the limit; <= 0 resets to hardwareThreads(). Outstanding
-  /// reservations are unaffected.
-  void setLimit(int limit) noexcept;
-  int limit() const noexcept;
-
-  /// Threads currently reserved.
-  int inUse() const noexcept;
-
-  /// Reserves up to `requested` threads and returns the granted count.
-  /// Without `force` the grant keeps inUse() <= limit() (possibly 0);
-  /// with `force` the full request is granted unconditionally (used for
-  /// explicit user thread counts, which are instructions, not hints).
-  int acquire(int requested, bool force = false) noexcept;
-
-  /// Returns a grant. `granted` must come from acquire().
-  void release(int granted) noexcept;
-
- private:
-  mutable std::mutex mutex_;
-  int limit_ = 1;
-  int inUse_ = 0;
-};
-
-/// RAII reservation: acquires on construction, releases on destruction.
-class ThreadLease {
- public:
-  ThreadLease(ThreadBudget& budget, int requested, bool force = false) noexcept
-      : budget_(&budget), granted_(budget.acquire(requested, force)) {}
-  ~ThreadLease() { budget_->release(granted_); }
-
-  ThreadLease(const ThreadLease&) = delete;
-  ThreadLease& operator=(const ThreadLease&) = delete;
-
-  /// Threads this lease holds.
-  int granted() const noexcept { return granted_; }
-
- private:
-  ThreadBudget* budget_;
-  int granted_;
-};
 
 }  // namespace vanet::util

@@ -81,12 +81,6 @@ TEST(ObsInvarianceTest, WorkCountersEqualAcrossScheduleAxes) {
   obs::resetAll();
   runCampaign(config);
   EXPECT_EQ(workCounters(obs::takeSnapshot()), serial);
-
-  config.streaming = false;
-  config.roundThreads = 2;
-  obs::resetAll();
-  runCampaign(config);
-  EXPECT_EQ(workCounters(obs::takeSnapshot()), serial);
 }
 
 TEST(ObsInvarianceTest, ShardCountersSumToTheFullRun) {

@@ -20,7 +20,6 @@ RunManifest fullManifest() {
   manifest.scenario = "highway";
   manifest.masterSeed = 2008;
   manifest.threads = 2;
-  manifest.roundThreads = 1;
   manifest.shardIndex = 1;
   manifest.shardCount = 3;
   manifest.streaming = true;
@@ -45,7 +44,6 @@ TEST(ObsManifestTest, RoundTripsEveryField) {
   EXPECT_EQ(parsed.scenario, original.scenario);
   EXPECT_EQ(parsed.masterSeed, original.masterSeed);
   EXPECT_EQ(parsed.threads, original.threads);
-  EXPECT_EQ(parsed.roundThreads, original.roundThreads);
   EXPECT_EQ(parsed.shardIndex, original.shardIndex);
   EXPECT_EQ(parsed.shardCount, original.shardCount);
   EXPECT_EQ(parsed.streaming, original.streaming);
@@ -69,6 +67,34 @@ TEST(ObsManifestTest, RenderParseRenderIsByteExact) {
 
   const std::string empty = manifestJson(RunManifest{});
   EXPECT_EQ(manifestJson(manifestFromJson(empty)), empty);
+}
+
+TEST(ObsManifestTest, ParsesSidecarsThatStillCarryRoundThreads) {
+  // Sidecars written before the round-worker axis was removed record a
+  // "round_threads" key. Fields are read by name, so the stale key is
+  // ignored and every other field still parses.
+  const std::string older =
+      "{\n\"format\":\"vanet-run-manifest\",\n\"version\":1,\n"
+      "\"artifact\":\"out/campaign.json\",\n"
+      "\"tool\":\"example_campaign_sweep\",\n"
+      "\"args\":[\"--threads=2\"],\n\"git_rev\":\"abc1234\",\n"
+      "\"build_flags\":\"Release sanitize=OFF\",\n"
+      "\"scenario\":\"highway\",\n\"master_seed\":2008,\n"
+      "\"threads\":2,\n\"round_threads\":1,\n\"shard_index\":0,\n"
+      "\"shard_count\":1,\n\"streaming\":false,\n\"target_ci\":0,\n"
+      "\"target_metric\":\"\",\n\"wall_seconds\":1.25,\n"
+      "\"jobs_per_second\":12.5,\n\"spec_path\":\"\",\n"
+      "\"spec_digest\":\"0000000000000000\",\n"
+      "\"points\":[\n {\"grid_index\":0,\"replications\":8,"
+      "\"achieved_ci95\":0.031}\n]\n}\n";
+  const RunManifest parsed = manifestFromJson(older);
+  EXPECT_EQ(parsed.tool, "example_campaign_sweep");
+  EXPECT_EQ(parsed.threads, 2);
+  EXPECT_EQ(parsed.shardCount, 1);
+  EXPECT_DOUBLE_EQ(parsed.jobsPerSecond, 12.5);
+  ASSERT_EQ(parsed.points.size(), 1u);
+  EXPECT_EQ(parsed.points[0].replications, 8);
+  EXPECT_EQ(manifestJson(parsed).find("round_threads"), std::string::npos);
 }
 
 TEST(ObsManifestTest, RejectsForeignDocuments) {

@@ -124,34 +124,6 @@ TEST(ExecutorTest, StreamingWorkerExceptionDiscardsPartialFold) {
   EXPECT_THROW(runCampaign(config), std::runtime_error);
 }
 
-TEST(ExecutorTest, RoundThreadsReachEveryJobContext) {
-  static const std::string name = [] {
-    ScenarioRegistry::global().add(ScenarioInfo{
-        "executor-test-round-threads",
-        "reports the JobContext roundThreads as a metric",
-        {},
-        [](const JobContext& context) {
-          JobResult result;
-          result.metrics["round_threads"] =
-              static_cast<double>(context.roundThreads);
-          result.rounds = 1;
-          return result;
-        }});
-    return std::string("executor-test-round-threads");
-  }();
-  CampaignConfig config;
-  config.scenario = name;
-  config.replications = 4;
-  config.threads = 2;
-  config.roundThreads = 3;
-  const CampaignResult result = runCampaign(config);
-  ASSERT_EQ(result.points.size(), 1u);
-  const RunningStats& seen = result.points[0].metrics.at("round_threads");
-  EXPECT_EQ(seen.count(), 4u);
-  EXPECT_DOUBLE_EQ(seen.min(), 3.0);
-  EXPECT_DOUBLE_EQ(seen.max(), 3.0);
-}
-
 TEST(ExecutorTest, IncompleteAccumulatorRefusesToSurfaceSummaries) {
   CampaignConfig config;
   config.scenario = cheapScenario();

@@ -353,5 +353,67 @@ TEST(PartialBinaryTest, MergeErrorsKeepShardContextForBinaryFiles) {
   }
 }
 
+TEST(PartialBinaryTest, HugeRecordLengthFailsWithContextNotBadAlloc) {
+  CampaignConfig config = urbanCampaign();
+  std::vector<std::string> paths;
+  for (int s = 0; s < 2; ++s) {
+    config.shard = Shard{s, 2};
+    paths.push_back(::testing::TempDir() + "/huge_shard" + std::to_string(s) +
+                    ".bin");
+    ASSERT_TRUE(writeCampaignPartial(paths.back(),
+                                     campaignPartial(runCampaign(config)),
+                                     PartialFormat::kBinary));
+  }
+  std::string bytes = slurp(paths[0]);
+  const std::size_t record = sectionOffset(bytes, 2);
+  ASSERT_GT(record, 0u);
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (int i = 0; i < 8; ++i) {
+    bytes[record + static_cast<std::size_t>(i)] =
+        static_cast<char>((huge >> (8 * i)) & 0xff);
+  }
+  bytes = withFixedChecksum(bytes);
+  dump(paths[0], bytes);
+
+  const std::string offset = "byte offset " + std::to_string(record);
+  try {
+    resultFromPartialFiles(paths);
+    FAIL() << "a 2^40-byte record length must not merge";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(paths[0]), std::string::npos) << what;
+    EXPECT_NE(what.find("point record 1"), std::string::npos) << what;
+    EXPECT_NE(what.find(offset), std::string::npos) << what;
+  }
+  try {
+    parseCampaignPartialBinary(bytes);
+    FAIL() << "a 2^40-byte record length must not parse";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("point record 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("byte offset"), std::string::npos) << what;
+  }
+}
+
+TEST(PartialBinaryTest, HugePointCountFailsBeforeReserving) {
+  std::string bytes = campaignPartialBinary(syntheticPartial());
+  // The header's point count is its last u64, right before the points.
+  const std::size_t count = sectionOffset(bytes, 2) - 8;
+  for (int i = 0; i < 8; ++i) {
+    bytes[count + static_cast<std::size_t>(i)] =
+        static_cast<char>(i == 5 ? 1 : 0);  // 2^40 points
+  }
+  try {
+    parseCampaignPartialBinary(withFixedChecksum(bytes));
+    FAIL() << "2^40 points must not parse";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("header point count 1099511627776"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("byte offset"), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace vanet::runner

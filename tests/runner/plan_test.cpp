@@ -35,13 +35,6 @@ TEST(PlanTest, ExpandsGridAndLayout) {
   }
 }
 
-TEST(PlanTest, RoundThreadsCarryIntoThePlan) {
-  CampaignConfig config = gridCampaign();
-  EXPECT_EQ(buildPlan(config).roundThreads(), 1);  // serial by default
-  config.roundThreads = 4;
-  EXPECT_EQ(buildPlan(config).roundThreads(), 4);
-}
-
 TEST(PlanTest, JobsAreGridMajorWithDerivedSeeds) {
   const CampaignPlan plan = buildPlan(gridCampaign());
   for (std::size_t i = 0; i < plan.shardJobCount(); ++i) {

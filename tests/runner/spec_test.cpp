@@ -349,7 +349,6 @@ TEST(CampaignSpecTest, SpecConfigPlansLikeAHandAssembledConfig) {
 TEST(CampaignSpecTest, ApplyEngineFlagsLeavesTheExperimentAlone) {
   CampaignRunFlags run;
   run.threads = 7;
-  run.roundThreads = 2;
   run.shard.index = 1;
   run.shard.count = 3;
   run.streaming = true;
@@ -362,7 +361,6 @@ TEST(CampaignSpecTest, ApplyEngineFlagsLeavesTheExperimentAlone) {
   CampaignConfig config = campaignConfigFromSpec(richSpec());
   applyEngineFlags(run, config);
   EXPECT_EQ(config.threads, 7);
-  EXPECT_EQ(config.roundThreads, 2);
   EXPECT_EQ(config.shard.index, 1);
   EXPECT_EQ(config.shard.count, 3);
   EXPECT_TRUE(config.streaming);

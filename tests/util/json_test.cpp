@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace vanet::json {
 namespace {
@@ -75,6 +76,36 @@ TEST(JsonParseTest, MalformedInputThrows) {
   EXPECT_THROW(parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW(parse("12 34"), std::runtime_error);  // trailing garbage
   EXPECT_THROW(parse("tru"), std::runtime_error);
+}
+
+TEST(JsonParseTest, HostileNestingThrowsInsteadOfOverflowingTheStack) {
+  const std::string deep(200000, '[');
+  try {
+    parse(deep);
+    FAIL() << "200k nested arrays parsed";
+  } catch (const std::runtime_error& error) {
+    const std::string expected =
+        "json: nesting deeper than " + std::to_string(kMaxNestingDepth) +
+        " at offset " + std::to_string(kMaxNestingDepth);
+    EXPECT_EQ(error.what(), expected);
+  }
+  std::string objects;
+  for (int i = 0; i <= kMaxNestingDepth; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse(objects), std::runtime_error);
+}
+
+TEST(JsonParseTest, NestingExactlyAtTheLimitParses) {
+  const std::size_t depth = static_cast<std::size_t>(kMaxNestingDepth);
+  const Value v = parse(std::string(depth, '[') + std::string(depth, ']'));
+  const Value* level = &v;
+  for (std::size_t i = 1; i < depth; ++i) {
+    ASSERT_EQ(level->asArray().size(), 1u);
+    level = &level->asArray()[0];
+  }
+  EXPECT_TRUE(level->asArray().empty());
+  EXPECT_THROW(
+      parse(std::string(depth + 1, '[') + std::string(depth + 1, ']')),
+      std::runtime_error);
 }
 
 TEST(JsonParseTest, TypeMismatchThrows) {

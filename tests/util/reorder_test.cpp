@@ -124,44 +124,5 @@ TEST(RunWorkersTest, RunsTheWorkerOnEveryThread) {
   EXPECT_EQ(calls.load(), 5);
 }
 
-TEST(ThreadBudgetTest, GrantsOnlyWhatTheLimitAllows) {
-  ThreadBudget budget(4);
-  EXPECT_EQ(budget.limit(), 4);
-  EXPECT_EQ(budget.acquire(3), 3);
-  EXPECT_EQ(budget.inUse(), 3);
-  EXPECT_EQ(budget.acquire(3), 1);  // clamped to the remaining room
-  EXPECT_EQ(budget.acquire(1), 0);  // exhausted: degrade to inline
-  budget.release(4);
-  EXPECT_EQ(budget.inUse(), 0);
-  EXPECT_EQ(budget.acquire(0), 0);
-}
-
-TEST(ThreadBudgetTest, ForceOverridesTheLimit) {
-  // An explicit --threads count is an instruction: force-acquires always
-  // grant in full and merely record the usage for nested layers.
-  ThreadBudget budget(2);
-  EXPECT_EQ(budget.acquire(5, /*force=*/true), 5);
-  EXPECT_EQ(budget.inUse(), 5);
-  EXPECT_EQ(budget.acquire(1), 0);  // non-forced sees a saturated budget
-  budget.release(5);
-}
-
-TEST(ThreadBudgetTest, LeaseReleasesOnDestruction) {
-  ThreadBudget budget(4);
-  {
-    const ThreadLease lease(budget, 3);
-    EXPECT_EQ(lease.granted(), 3);
-    EXPECT_EQ(budget.inUse(), 3);
-  }
-  EXPECT_EQ(budget.inUse(), 0);
-}
-
-TEST(ThreadBudgetTest, SetLimitZeroResetsToHardware) {
-  ThreadBudget budget(3);
-  budget.setLimit(0);
-  EXPECT_EQ(budget.limit(), hardwareThreads());
-  EXPECT_GE(hardwareThreads(), 1);
-}
-
 }  // namespace
 }  // namespace vanet::util
