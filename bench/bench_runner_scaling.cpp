@@ -17,13 +17,16 @@
 ///   --shard     splits the campaign into 2 and 3 shards, folds the
 ///               partials back with the merge pipeline, and compares
 ///               against the unsharded single-thread run
-///   --adaptive  CI95-targeted replication (--target-ci / --min-reps /
-///               --max-reps): the wave schedule must be a pure function
-///               of the fold state, so the adaptive campaign is
-///               byte-compared at 1/2/N threads, under streaming, and
-///               reassembled from 2 shard processes; also reports the
-///               per-point replications used and achieved CI95
-/// Every mode exits non-zero if any variant changes the bytes.
+///   --adaptive  CI95-targeted replication (target 0.1, 2..8
+///               replications per point): the wave schedule must be a
+///               pure function of the fold state, so the adaptive
+///               campaign is byte-compared at 1/2/N threads, under
+///               streaming, and reassembled from 2 shard processes; also
+///               reports the per-point replications used and achieved
+///               CI95
+/// Every mode exits non-zero if any variant changes the bytes. The
+/// campaign takes the shared engine flags plus --repl (default 4) and
+/// --rounds (default 3).
 
 #include <algorithm>
 #include <iomanip>
@@ -32,9 +35,37 @@
 #include <utility>
 #include <vector>
 
-#include "bench_common.h"
+#include "runner/campaign.h"
+#include "runner/emit.h"
+#include "runner/spec.h"
+#include "util/flags.h"
 
 namespace {
+
+/// The studied campaign: the highway speed x coop grid, or with
+/// --figures an urban gossip sweep that carries FlowFigure series.
+vanet::runner::CampaignConfig studyCampaign(const vanet::Flags& flags,
+                                            bool figures) {
+  namespace runner = vanet::runner;
+  const vanet::CampaignRunFlags run = vanet::campaignRunFlags(flags);
+  runner::CampaignConfig campaign;
+  campaign.scenario = figures ? "urban" : "highway";
+  campaign.masterSeed = run.seed;
+  campaign.replications = flags.getInt("repl", 4);
+  runner::applyEngineFlags(run, campaign);
+  campaign.base.set("rounds", flags.getInt("rounds", 3));
+  campaign.base.set("cars", 3);
+  if (figures) {
+    campaign.grid.add("gossip", {0.0, 1.0});
+  } else {
+    campaign.base.set("aps", 1);
+    campaign.base.set("road_length", 2400.0);
+    campaign.base.set("first_ap_arc", 1200.0);
+    campaign.grid.add("speed_kmh", {40.0, 60.0, 80.0, 100.0})
+        .add("coop", {0.0, 1.0});
+  }
+  return campaign;
+}
 
 /// Every figure CSV of the campaign, concatenated in point/flow order:
 /// byte equality of this string is bit-identity of every merged series.
@@ -171,47 +202,33 @@ int runAdaptiveMode(vanet::runner::CampaignConfig campaign) {
 int main(int argc, char** argv) {
   using namespace vanet;
   const Flags flags(argc, argv);
-  flags.allowOnly(bench::benchFlagNames(
-      {"figures", "batched", "adaptive", "max-threads"}));
+  {
+    std::vector<std::string> names = campaignFlagNames();
+    names.insert(names.end(), {"repl", "rounds", "figures", "batched",
+                               "adaptive", "max-threads"});
+    flags.allowOnly(names);
+  }
   const bool figures = flags.getBool("figures", false);
   const bool batched = flags.getBool("batched", false);
   const bool adaptive = flags.getBool("adaptive", false);
   const bool shardMode = flags.getString("shard", "") == "true";
-  bench::printHeader(
-      figures    ? "Campaign engine: figure-series merge determinism"
-      : batched  ? "Campaign engine: streaming (bounded-memory) determinism"
-      : adaptive ? "Campaign engine: adaptive (CI95-targeted) replication "
-                   "determinism"
-      : shardMode? "Campaign engine: shard + merge determinism"
-                 : "Campaign engine: parallel scaling and determinism",
-      "engine study (no paper counterpart)");
+  std::cout << (figures    ? "Campaign engine: figure-series merge determinism"
+                : batched  ? "Campaign engine: streaming (bounded-memory) "
+                             "determinism"
+                : adaptive ? "Campaign engine: adaptive (CI95-targeted) "
+                             "replication determinism"
+                : shardMode
+                    ? "Campaign engine: shard + merge determinism"
+                    : "Campaign engine: parallel scaling and determinism")
+            << "\n\n";
 
-  runner::CampaignConfig campaign;
-  if (figures) {
-    campaign = bench::campaignFromFlags(flags, "urban", /*defaultRounds=*/3,
-                                        /*defaultReplications=*/4);
-    campaign.grid.add("gossip", {0.0, 1.0});
-  } else {
-    campaign = bench::campaignFromFlags(flags, "highway", /*defaultRounds=*/3,
-                                        /*defaultReplications=*/4);
-    campaign.base.set("aps", 1);
-    campaign.base.set("road_length", 2400.0);
-    campaign.base.set("first_ap_arc", 1200.0);
-    campaign.grid.add("speed_kmh", {40.0, 60.0, 80.0, 100.0})
-        .add("coop", {0.0, 1.0});
-  }
-
+  runner::CampaignConfig campaign = studyCampaign(flags, figures);
   if (adaptive) {
-    // A bare --adaptive gets defaults tuned so a short smoke run
-    // genuinely converges some points early and drives others to the
-    // cap. Explicit bounds travel with --target-ci through the shared
-    // flag vocabulary (campaignFromFlags rejects bounds without it, so
-    // nothing is ever silently dropped).
-    if (campaign.targetRelativeCi95 <= 0.0) {
-      campaign.targetRelativeCi95 = 0.1;
-      campaign.minReplications = 2;
-      campaign.maxReplications = 8;
-    }
+    // Tuned so a short smoke run converges some points early and drives
+    // others to the cap.
+    campaign.targetRelativeCi95 = 0.1;
+    campaign.minReplications = 2;
+    campaign.maxReplications = 8;
     return runAdaptiveMode(std::move(campaign));
   }
 

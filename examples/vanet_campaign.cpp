@@ -14,7 +14,12 @@
 ///         --progress --log-level=L
 ///       With --csv=DIR the spec's emit list is written into DIR, every
 ///       artefact with a manifest sidecar recording the spec path and
-///       the digest of its normalized rendering.
+///       the digest of its normalized rendering. After the campaign
+///       summary, the console shows the views the emit kinds name:
+///       Table 1 and its loss summary per grid point for `table1_csv`,
+///       the reception and C-ARQ figures per (point, flow) for
+///       `figures` -- so `run specs/table1.json` prints Table 1 and
+///       Figures 3-8 from one campaign.
 ///
 ///   vanet_campaign print spec.json
 ///       Parses, validates and re-renders the spec in normalized form
@@ -27,7 +32,10 @@
 
 #include <cstdio>
 #include <iostream>
+#include <set>
 
+#include "analysis/figures.h"
+#include "analysis/table1.h"
 #include "obs/manifest.h"
 #include "runner/campaign.h"
 #include "runner/emit.h"
@@ -44,6 +52,36 @@ int usage() {
                "       vanet_campaign print <spec.json>\n"
                "       vanet_campaign list\n");
   return 2;
+}
+
+/// Prints the console views of the spec's resolved emit kinds (see the
+/// file comment); grid points are labelled when there is more than one.
+void printEmitViews(const vanet::runner::CampaignSpec& spec,
+                    const vanet::runner::CampaignResult& result) {
+  using namespace vanet;
+  std::set<std::string> kinds;
+  for (const runner::SpecEmit& emit : runner::resolvedEmits(spec)) {
+    kinds.insert(emit.kind);
+  }
+  const bool table1 = kinds.count("table1_csv") > 0;
+  const bool figures = kinds.count("figures") > 0;
+  if (!table1 && !figures) return;
+  for (const runner::GridPointSummary& point : result.points) {
+    if (result.points.size() > 1) {
+      std::cout << "\n== grid point " << point.gridIndex << "\n";
+    }
+    if (table1) {
+      std::cout << "\n" << analysis::renderTable1(point.table1) << "\n"
+                << analysis::renderLossSummary(point.table1) << "\n";
+    }
+    if (!figures) continue;
+    for (const auto& [flow, figure] : point.figures) {
+      std::cout << "\n" << analysis::renderReceptionFigure(figure);
+    }
+    for (const auto& [flow, figure] : point.figures) {
+      std::cout << "\n" << analysis::renderCoopFigure(figure);
+    }
+  }
 }
 
 }  // namespace
@@ -117,6 +155,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   std::cout << runner::renderCampaignSummary(result, config.grid);
+  printEmitViews(spec, result);
 
   if (!run.partialOut.empty()) {
     const runner::PartialFormat format =

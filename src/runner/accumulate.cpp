@@ -370,10 +370,13 @@ CampaignPartial identityOf(const CampaignPartial& partial) {
 /// Incremental shard merge shared by the in-memory and streaming entry
 /// points: shards announce themselves in ascending index order via
 /// beginShard(), then feed points one at a time -- so a binary shard file
-/// never needs to materialize its whole point set.
+/// never needs to materialize its whole point set. `carriedPoints` is the
+/// number of point records the whole shard set holds; the first header's
+/// grid_points must equal it before it sizes the merged grid.
 class PartialMerger {
  public:
-  explicit PartialMerger(std::size_t partialCount) : total_(partialCount) {}
+  PartialMerger(std::size_t partialCount, std::size_t carriedPoints)
+      : total_(partialCount), carried_(carriedPoints) {}
 
   void beginShard(const CampaignPartial& header) {
     // A checkpoint mid-campaign is resume state, not a shard result:
@@ -390,6 +393,13 @@ class PartialMerger {
             "expected " + std::to_string(first_.shard.count) +
             " shard partials, got " + std::to_string(total_) +
             " (first: " + describePartial(first_) + ")");
+      }
+      if (first_.totalPoints != carried_) {
+        throw std::runtime_error(
+            describePartial(first_) + ": header grid_points " +
+            std::to_string(first_.totalPoints) + " does not match the " +
+            std::to_string(carried_) + " point record(s) the " +
+            std::to_string(total_) + " shard partial(s) carry");
       }
       merged_.resize(first_.totalPoints);
       filled_.assign(first_.totalPoints, false);
@@ -446,6 +456,7 @@ class PartialMerger {
 
  private:
   std::size_t total_;
+  std::size_t carried_;
   std::size_t begun_ = 0;
   CampaignPartial first_;
   CampaignPartial current_;
@@ -475,7 +486,11 @@ std::vector<GridPointSummary> mergeCampaignPartials(
             [](const CampaignPartial& a, const CampaignPartial& b) {
               return a.shard.index < b.shard.index;
             });
-  PartialMerger merger(partials.size());
+  std::size_t carried = 0;
+  for (const CampaignPartial& partial : partials) {
+    carried += partial.points.size();
+  }
+  PartialMerger merger(partials.size(), carried);
   for (CampaignPartial& partial : partials) {
     merger.beginShard(partial);
     for (GridPointSummary& point : partial.points) {
@@ -512,7 +527,12 @@ std::vector<GridPointSummary> mergeCampaignPartialFiles(
             [&headerOf](const Source& a, const Source& b) {
               return headerOf(a).shard.index < headerOf(b).shard.index;
             });
-  PartialMerger merger(sources.size());
+  std::size_t carried = 0;
+  for (const Source& source : sources) {
+    carried += source.bin ? source.bin->remainingPoints()
+                          : source.json.points.size();
+  }
+  PartialMerger merger(sources.size(), carried);
   for (Source& source : sources) {
     merger.beginShard(headerOf(source));
     if (source.bin) {

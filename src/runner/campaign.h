@@ -5,7 +5,7 @@
 /// layers -- plan (plan.h: case x grid expansion, job layout, per-job
 /// seed derivation), execute (executor.h: thread-pool backends, buffered
 /// or streaming), accumulate (accumulate.h: job-order fold plus shard
-/// partial serialization) -- into the one-call API every bench and
+/// partial serialization) -- into the one-call API every driver and
 /// example uses. Per-job determinism comes from
 /// Rng::deriveStreamSeed(masterSeed, jobIndex): each job owns a private
 /// RNG stream that is a pure function of the master seed and its index,

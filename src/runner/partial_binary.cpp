@@ -427,6 +427,13 @@ PartialBinaryFileReader::PartialBinaryFileReader(const std::string& path)
       }
     }
     header_.sourcePath = path_;
+    // Every record carries at least its u64 length framing.
+    if (pointCount > table.back().length / 8) {
+      fail("header point count " + std::to_string(pointCount) +
+           " cannot fit the " + std::to_string(table.back().length) +
+           "-byte points section at byte offset " +
+           std::to_string(table.back().offset));
+    }
     pointsLeft_ = table.back().length;
     remaining_ = static_cast<std::size_t>(pointCount);
     if (remaining_ == 0) {

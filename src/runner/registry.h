@@ -5,9 +5,7 @@
 /// (urban loop, highway drive-thru, infostation file download, ...)
 /// registers itself under a name together with the parameters it
 /// understands; campaigns then refer to scenarios purely by name, and
-/// benches share one parameter vocabulary instead of hand-rolling flag
-/// parsing each (this subsumes the per-bench config code that used to
-/// live in bench/bench_common.h).
+/// every spec shares one parameter vocabulary per scenario.
 
 #include <cstdint>
 #include <functional>
@@ -115,7 +113,7 @@ std::string registeredScenarioList();
 /// Human rendering of every registered scenario: name, description,
 /// default target metric, default emit kinds, and each ParamSpec as
 ///   name = default  help
-/// -- what `vanet_campaign list` and `campaign_sweep --list` print.
+/// -- what `vanet_campaign list` prints.
 std::string renderScenarioList();
 
 /// Registers a scenario at static-initialisation time -- the plug-in

@@ -1,7 +1,7 @@
 /// \file scenarios.cpp
 /// Built-in scenarios of the campaign engine, adapting the analysis-layer
 /// experiment drivers to the registry's (params, seed) -> JobResult shape.
-/// Parameter names are the one vocabulary every bench and sweep shares:
+/// Parameter names are the one vocabulary every spec and sweep shares:
 ///
 ///   common    rounds, cars, speed_kmh, coop, nakagami
 ///   PHY/rate  phy (0=DSSS-1M 1=DSSS-2M 2=CCK-5.5M 3=CCK-11M), payload,

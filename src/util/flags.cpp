@@ -147,8 +147,7 @@ void Flags::allowOnly(const std::vector<std::string>& known) const {
 std::vector<std::string> campaignFlagNames() {
   return {"seed",        "threads",        "shard",      "partial-out",
           "partial-format", "checkpoint",  "resume",     "halt-after-waves",
-          "streaming",   "target-ci",      "min-reps",   "max-reps",
-          "target-metric", "progress",     "log-level"};
+          "streaming",   "progress",       "log-level"};
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {
@@ -181,10 +180,6 @@ CampaignRunFlags campaignRunFlags(const Flags& flags,
   }
   run.haltAfterWaves = flags.getInt("halt-after-waves", -1);
   run.streaming = flags.getBool("streaming", false);
-  run.targetCi = flags.getDouble("target-ci", 0.0);
-  run.minReps = flags.getInt("min-reps", 0);
-  run.maxReps = flags.getInt("max-reps", 0);
-  run.targetMetric = flags.getString("target-metric", "");
   run.progress = flags.getBool("progress", false);
   if (flags.has("log-level")) {
     const std::string level = flags.getString("log-level", "");

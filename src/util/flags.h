@@ -48,7 +48,7 @@ class Flags {
   const std::vector<std::string>& positional() const noexcept { return positional_; }
 
   /// Rejects (exit 2) any parsed flag whose name is not in `known`, with
-  /// a did-you-mean nearest-name hint -- a typo'd `--target-cl=0.05`
+  /// a did-you-mean nearest-name hint -- a typo'd `--thread=4`
   /// must not silently run a study with the default. Every binary calls
   /// this once, right after parsing, with its full flag vocabulary
   /// (typically campaignFlagNames() plus its own additions).
@@ -64,7 +64,7 @@ class Flags {
 /// and pass the result to Flags::allowOnly().
 std::vector<std::string> campaignFlagNames();
 
-/// The campaign CLI vocabulary shared by every bench and example (one
+/// The campaign engine vocabulary shared by every campaign binary (one
 /// parser instead of per-binary copies):
 ///   --seed=S           master seed
 ///   --threads=N        campaign job workers (0 = hardware concurrency)
@@ -83,15 +83,6 @@ std::vector<std::string> campaignFlagNames();
 ///                      for checkpoint tests; default: run to completion)
 ///   --streaming        fold results through the bounded reordering
 ///                      window (O(points+threads) memory)
-///   --target-ci=X      adaptive replication: stop a grid point once the
-///                      95 % CI half-width of the target metric divided
-///                      by |mean| drops to X, which must be > 0 (omit
-///                      the flag to keep the fixed --repl count)
-///   --min-reps=N       adaptive wave-0 size / convergence floor
-///                      (defaults to the --repl count)
-///   --max-reps=N       adaptive replication cap (default 64)
-///   --target-metric=M  metric the stop rule watches (default: the
-///                      scenario's, e.g. "pdr")
 ///   --progress         live progress lines on stderr (rate-limited,
 ///                      `progress: `-prefixed; results are unchanged)
 ///   --log-level=L      error|warn|info|debug|trace; overrides the
@@ -108,10 +99,6 @@ struct CampaignRunFlags {
   bool resume = false;        ///< restore from `checkpoint` first
   int haltAfterWaves = -1;    ///< stop after K barriers (< 0: run all)
   bool streaming = false;
-  double targetCi = 0.0;  ///< <= 0 keeps the fixed replication count
-  int minReps = 0;        ///< 0 = derive from the fixed count
-  int maxReps = 0;        ///< 0 = engine default
-  std::string targetMetric;
   bool progress = false;
 };
 

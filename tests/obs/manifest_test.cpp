@@ -13,7 +13,7 @@ namespace {
 RunManifest fullManifest() {
   RunManifest manifest;
   manifest.artifact = "out/campaign.json";
-  manifest.tool = "example_campaign_sweep";
+  manifest.tool = "vanet_campaign";
   manifest.args = {"--seed=2008", "--threads=2", "--out=out"};
   manifest.gitRev = "abc1234";
   manifest.buildFlags = "Release sanitize=OFF";
@@ -76,7 +76,7 @@ TEST(ObsManifestTest, ParsesSidecarsThatStillCarryRoundThreads) {
   const std::string older =
       "{\n\"format\":\"vanet-run-manifest\",\n\"version\":1,\n"
       "\"artifact\":\"out/campaign.json\",\n"
-      "\"tool\":\"example_campaign_sweep\",\n"
+      "\"tool\":\"vanet_campaign\",\n"
       "\"args\":[\"--threads=2\"],\n\"git_rev\":\"abc1234\",\n"
       "\"build_flags\":\"Release sanitize=OFF\",\n"
       "\"scenario\":\"highway\",\n\"master_seed\":2008,\n"
@@ -88,7 +88,7 @@ TEST(ObsManifestTest, ParsesSidecarsThatStillCarryRoundThreads) {
       "\"points\":[\n {\"grid_index\":0,\"replications\":8,"
       "\"achieved_ci95\":0.031}\n]\n}\n";
   const RunManifest parsed = manifestFromJson(older);
-  EXPECT_EQ(parsed.tool, "example_campaign_sweep");
+  EXPECT_EQ(parsed.tool, "vanet_campaign");
   EXPECT_EQ(parsed.threads, 2);
   EXPECT_EQ(parsed.shardCount, 1);
   EXPECT_DOUBLE_EQ(parsed.jobsPerSecond, 12.5);

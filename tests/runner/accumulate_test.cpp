@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 
 #include "runner/campaign.h"
 #include "runner/emit.h"
+#include "util/binio.h"
 
 namespace vanet::runner {
 namespace {
@@ -225,6 +227,98 @@ TEST(AccumulateTest, MergeFilesReportsTheUnreadableFile) {
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find(missing), std::string::npos)
         << error.what();
+  }
+}
+
+/// Writes the two shards of urbanCampaign() as `<stem>_s{0,1}` partial
+/// files in `format`, shard 0 claiming `shard0GridPoints` grid points.
+std::vector<std::string> writeShardPair(const std::string& stem,
+                                        PartialFormat format,
+                                        std::uint64_t shard0GridPoints) {
+  CampaignConfig config = urbanCampaign();
+  std::vector<std::string> paths;
+  for (int shard = 0; shard < 2; ++shard) {
+    config.shard = Shard{shard, 2};
+    CampaignPartial partial = campaignPartial(runCampaign(config));
+    if (shard == 0) partial.totalPoints = shard0GridPoints;
+    paths.push_back(::testing::TempDir() + "/" + stem + "_s" +
+                    std::to_string(shard));
+    EXPECT_TRUE(writeCampaignPartial(paths.back(), partial, format));
+  }
+  return paths;
+}
+
+TEST(AccumulateTest, MergeRejectsGridPointsTheShardsDoNotCarry) {
+  // A header claiming 2^40 grid points must fail with the culprit file
+  // named, before the merger sizes its grid from it (bad_alloc before).
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  for (const PartialFormat format :
+       {PartialFormat::kJson, PartialFormat::kBinary}) {
+    const bool binary = format == PartialFormat::kBinary;
+    const std::vector<std::string> paths =
+        writeShardPair(binary ? "huge_grid_bin" : "huge_grid_json", format,
+                       kHuge);
+    try {
+      mergeCampaignPartialFiles(paths);
+      FAIL() << "inflated grid_points must not merge";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(paths[0]), std::string::npos) << what;
+      EXPECT_NE(what.find("grid_points " + std::to_string(kHuge)),
+                std::string::npos)
+          << what;
+    }
+    std::vector<CampaignPartial> partials;
+    for (const std::string& path : paths) {
+      partials.push_back(readCampaignPartial(path));
+    }
+    EXPECT_THROW(mergeCampaignPartials(std::move(partials)),
+                 std::runtime_error);
+  }
+  // The honest pair still merges.
+  EXPECT_EQ(mergeCampaignPartialFiles(
+                writeShardPair("honest_grid", PartialFormat::kBinary, 4))
+                .size(),
+            4u);
+}
+
+TEST(AccumulateTest, BinaryPointCountIsBoundedByThePointsSection) {
+  // grid_points and the header's point-record count inflated together
+  // (checksum repaired) agree with each other, so only the streaming
+  // reader's count-versus-section-bytes bound stands between them and
+  // the merger's allocation.
+  std::vector<std::string> paths =
+      writeShardPair("huge_count", PartialFormat::kBinary, 4);
+  std::string bytes;
+  {
+    std::ifstream in(paths[0], std::ios::binary);
+    bytes.assign((std::istreambuf_iterator<char>(in)),
+                 std::istreambuf_iterator<char>());
+  }
+  // Section table entry 1 is the points section (no checkpoint); the
+  // header ends with grid_points, job_count and the point count.
+  util::BinReader table(bytes);
+  for (int i = 0; i < 16 + 24 + 8; ++i) table.u8("skip");
+  const std::size_t pointsOffset =
+      static_cast<std::size_t>(table.u64("points offset"));
+  const auto putU64 = [&bytes](std::size_t at, std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[at + static_cast<std::size_t>(i)] =
+          static_cast<char>((value >> (8 * i)) & 0xff);
+    }
+  };
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  putU64(pointsOffset - 24, kHuge);  // grid_points
+  putU64(pointsOffset - 8, kHuge);   // point-record count
+  putU64(bytes.size() - 8, util::fnv1a64(bytes.data(), bytes.size() - 8));
+  std::ofstream(paths[0], std::ios::binary | std::ios::trunc) << bytes;
+  try {
+    mergeCampaignPartialFiles(paths);
+    FAIL() << "inflated point count must not merge";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(paths[0]), std::string::npos) << what;
+    EXPECT_NE(what.find("cannot fit"), std::string::npos) << what;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -320,7 +321,10 @@ TEST(CampaignSpecTest, CommittedSpecsAreFixedPointsOfTheNormalizedForm) {
 }
 
 TEST(CampaignSpecTest, SpecConfigPlansLikeAHandAssembledConfig) {
-  // bench_table1's historical flag-assembled campaign, rebuilt by hand.
+  // The paper's Table 1 / Figures 3-8 campaign, rebuilt by hand: 3 cars
+  // on the urban loop, 3 x 10 rounds, seed 2008. The retired Table 1
+  // bench and the six retired figure benches each assembled exactly this
+  // config from flags, so table1.json emits the figure series too.
   CampaignConfig byHand;
   byHand.scenario = "urban";
   byHand.masterSeed = 2008;
@@ -331,6 +335,12 @@ TEST(CampaignSpecTest, SpecConfigPlansLikeAHandAssembledConfig) {
   const CampaignSpec spec =
       loadCampaignSpec(std::string(VANET_SPEC_DIR "/table1.json"));
   const CampaignConfig fromSpec = campaignConfigFromSpec(spec);
+  const std::vector<SpecEmit> emits = resolvedEmits(spec);
+  for (const SpecEmit& want :
+       {SpecEmit{"table1_csv", "table1"}, SpecEmit{"figures", "fig"}}) {
+    EXPECT_NE(std::find(emits.begin(), emits.end(), want), emits.end())
+        << want.kind;
+  }
 
   const CampaignPlan planA = buildPlan(byHand);
   const CampaignPlan planB = buildPlan(fromSpec);

@@ -85,22 +85,6 @@ TEST(FlagsEdgeDeathTest, TrailingGarbageRejectedByNumericParsers) {
               ::testing::ExitedWithCode(2), "as unsigned");
 }
 
-TEST(FlagsTest, CampaignRunFlagsReadAdaptiveVocabulary) {
-  const Flags f = parse({"--target-ci=0.05", "--min-reps=4", "--max-reps=64",
-                         "--target-metric=pdr"});
-  const CampaignRunFlags run = campaignRunFlags(f);
-  EXPECT_DOUBLE_EQ(run.targetCi, 0.05);
-  EXPECT_EQ(run.minReps, 4);
-  EXPECT_EQ(run.maxReps, 64);
-  EXPECT_EQ(run.targetMetric, "pdr");
-  // Absent adaptive flags keep the fixed-count defaults.
-  const CampaignRunFlags fixed = campaignRunFlags(parse({}));
-  EXPECT_DOUBLE_EQ(fixed.targetCi, 0.0);
-  EXPECT_EQ(fixed.minReps, 0);
-  EXPECT_EQ(fixed.maxReps, 0);
-  EXPECT_TRUE(fixed.targetMetric.empty());
-}
-
 TEST(FlagsEdgeDeathTest, AllowOnlyRejectsUnknownFlagsWithDidYouMean) {
   // A typo within editing distance of a legal flag names it in the hint.
   EXPECT_EXIT(parse({"--thread=4"}).allowOnly({"threads", "seed"}),
@@ -111,11 +95,17 @@ TEST(FlagsEdgeDeathTest, AllowOnlyRejectsUnknownFlagsWithDidYouMean) {
               ::testing::ExitedWithCode(2), "unknown flag --zzzzzzzz");
 }
 
+TEST(FlagsEdgeDeathTest, AdaptivePolicyIsNotAnEngineFlag) {
+  // The adaptive replication policy belongs to the spec, not the CLI.
+  EXPECT_EXIT(parse({"--target-ci=0.05"}).allowOnly(campaignFlagNames()),
+              ::testing::ExitedWithCode(2), "unknown flag --target-ci");
+}
+
 TEST(FlagsTest, AllowOnlyAcceptsTheFullVocabulary) {
   // Every name in the shared campaign vocabulary passes its own check,
   // and positional arguments are never flagged.
   const Flags flags = parse({"--seed=1", "--threads=2", "--streaming",
-                             "--target-ci=0.1", "pos0", "pos1"});
+                             "--progress=true", "pos0", "pos1"});
   flags.allowOnly(campaignFlagNames());
   EXPECT_EQ(flags.positional().size(), 2u);
 }
