@@ -15,9 +15,11 @@
 ///               the perf-trajectory artefact CI compares against the
 ///               committed baseline with example_bench_compare.
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,7 @@
 #include "runner/partial_binary.h"
 #include "sim/simulator.h"
 #include "trace/aggregate.h"
+#include "util/file.h"
 #include "util/flags.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -331,41 +334,29 @@ runner::CampaignPartial syntheticPartial(int shardIndex, int shardCount,
   return partial;
 }
 
-/// Serializes every shard once per repetition (in memory, both formats --
-/// no disk noise in the timing).
+/// Serializes every shard once per repetition (in memory -- no disk
+/// noise in the timing).
 RunningStats timePartialWrite(
-    const std::vector<runner::CampaignPartial>& shards, int iters,
-    bool binary) {
+    const std::vector<runner::CampaignPartial>& shards, int iters) {
   RunningStats wall;
   for (int it = 0; it < iters; ++it) {
     const auto start = Clock::now();
     for (const runner::CampaignPartial& shard : shards) {
-      const std::string bytes = binary
-                                    ? runner::campaignPartialBinary(shard)
-                                    : runner::campaignPartialJson(shard);
-      gSink += bytes.size();
+      gSink += runner::campaignPartialBinary(shard).size();
     }
     wall.add(secondsSince(start));
   }
   return wall;
 }
 
-/// Parses every serialized shard and folds them back into the full grid
-/// once per repetition -- the campaign_merge hot path, both formats.
-RunningStats timePartialMerge(const std::vector<std::string>& shardBytes,
-                              int iters, bool binary) {
+/// Streams the shard files and folds them back into the full grid once
+/// per repetition -- the path campaign_merge runs.
+RunningStats timePartialMerge(const std::vector<std::string>& shardPaths,
+                              int iters) {
   RunningStats wall;
   for (int it = 0; it < iters; ++it) {
     const auto start = Clock::now();
-    std::vector<runner::CampaignPartial> partials;
-    partials.reserve(shardBytes.size());
-    for (const std::string& bytes : shardBytes) {
-      partials.push_back(binary ? runner::parseCampaignPartialBinary(bytes)
-                                : runner::parseCampaignPartial(bytes));
-    }
-    const std::vector<runner::GridPointSummary> merged =
-        runner::mergeCampaignPartials(std::move(partials));
-    gSink += merged.size();
+    gSink += runner::mergeCampaignPartialFiles(shardPaths).size();
     wall.add(secondsSince(start));
   }
   return wall;
@@ -485,34 +476,33 @@ int main(int argc, char** argv) {
              timeHighwayRound(iters, run.seed), 0, "");
 
   // Campaign-partial serialization: a synthetic 4-shard, 256-point
-  // campaign with production-shaped records, written and merged in both
-  // formats. The bin/json ratios are the Table-1 numbers behind making
-  // binary the --shard default.
+  // campaign with production-shaped records, serialized in memory and
+  // merged from shard files written once.
   const int kShardCount = 4;
   const int kPointsPerShard = 64;
+  namespace fs = std::filesystem;
+  const fs::path shardDir =
+      fs::temp_directory_path() /
+      ("bench_perf_kernel." + std::to_string(::getpid()));
+  fs::create_directories(shardDir);
   std::vector<runner::CampaignPartial> shards;
-  std::vector<std::string> jsonShards;
-  std::vector<std::string> binShards;
+  std::vector<std::string> shardPaths;
   for (int s = 0; s < kShardCount; ++s) {
     shards.push_back(
         syntheticPartial(s, kShardCount, kPointsPerShard, run.seed));
-    jsonShards.push_back(runner::campaignPartialJson(shards.back()));
-    binShards.push_back(runner::campaignPartialBinary(shards.back()));
+    shardPaths.push_back(
+        (shardDir / ("shard" + std::to_string(s) + ".vpart")).string());
+    if (!runner::writeCampaignPartial(shardPaths.back(), shards.back())) {
+      return 1;
+    }
   }
   const double partialPoints =
       static_cast<double>(kShardCount) * kPointsPerShard;
-  timeKernel("partial_write_json", "partial write json (256 pts)",
-             timePartialWrite(shards, iters, /*binary=*/false), partialPoints,
-             "points");
   timeKernel("partial_write_bin", "partial write bin (256 pts)",
-             timePartialWrite(shards, iters, /*binary=*/true), partialPoints,
-             "points");
-  timeKernel("partial_merge_json", "partial merge json (4 shards)",
-             timePartialMerge(jsonShards, iters, /*binary=*/false),
-             partialPoints, "points");
-  timeKernel("partial_merge_bin", "partial merge bin (4 shards)",
-             timePartialMerge(binShards, iters, /*binary=*/true),
-             partialPoints, "points");
+             timePartialWrite(shards, iters), partialPoints, "points");
+  timeKernel("partial_merge_bin", "partial merge bin (4 shard files)",
+             timePartialMerge(shardPaths, iters), partialPoints, "points");
+  fs::remove_all(shardDir);
 
   // End-to-end campaign throughput for the trajectory document.
   const runner::CampaignResult campaign =
@@ -535,14 +525,7 @@ int main(int argc, char** argv) {
     if (path.empty() || path == "true") {
       path = "BENCH_" + obs::buildGitRevision() + ".json";
     }
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-      return 1;
-    }
-    out << benchJson(kernels, campaign, run.seed, iters);
-    if (!out) {
-      std::fprintf(stderr, "short write on %s\n", path.c_str());
+    if (!util::writeFile(path, benchJson(kernels, campaign, run.seed, iters))) {
       return 1;
     }
     std::printf("wrote %s\n", path.c_str());

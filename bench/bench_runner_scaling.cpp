@@ -14,9 +14,10 @@
 ///   --batched   streaming (bounded-memory) execution at each thread
 ///               count against the buffered serial reference; also
 ///               reports the reordering-window high-water mark
-///   --shard     splits the campaign into 2 and 3 shards, folds the
-///               partials back with the merge pipeline, and compares
-///               against the unsharded single-thread run
+///   --shard     splits the campaign into 2 and 3 shards, writes each
+///               shard's partial file, merges the files the way
+///               campaign_merge does, and compares against the unsharded
+///               single-thread run
 ///   --adaptive  CI95-targeted replication (target 0.1, 2..8
 ///               replications per point): the wave schedule must be a
 ///               pure function of the fold state, so the adaptive
@@ -28,9 +29,13 @@
 /// campaign takes the shared engine flags plus --repl (default 4) and
 /// --rounds (default 3).
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <iomanip>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -81,23 +86,30 @@ std::string allFigureCsvs(const vanet::runner::CampaignResult& result) {
   return out;
 }
 
-/// Runs the campaign once per shard, serializes each shard's summaries
-/// through the partial-result format, and folds them back -- the same
-/// round trip two processes and campaign_merge would perform.
+/// Runs the campaign once per shard, writes each shard's partial file
+/// and folds the files back with resultFromPartialFiles -- the same
+/// round trip two processes and campaign_merge perform.
 vanet::runner::CampaignResult runSharded(vanet::runner::CampaignConfig config,
                                          int shardCount) {
-  std::vector<vanet::runner::CampaignPartial> partials;
-  partials.reserve(static_cast<std::size_t>(shardCount));
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("bench_runner_scaling." + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  std::vector<std::string> paths;
   for (int shard = 0; shard < shardCount; ++shard) {
     config.shard = vanet::runner::Shard{shard, shardCount};
-    const vanet::runner::CampaignResult result =
-        vanet::runner::runCampaign(config);
-    // Round-trip the bytes a shard process would write to disk.
-    partials.push_back(vanet::runner::parseCampaignPartial(
-        vanet::runner::campaignPartialJson(
-            vanet::runner::campaignPartial(result))));
+    paths.push_back((dir / ("shard" + std::to_string(shard) + ".vpart"))
+                        .string());
+    if (!vanet::runner::writeCampaignPartial(
+            paths.back(), vanet::runner::campaignPartial(
+                              vanet::runner::runCampaign(config)))) {
+      throw std::runtime_error("cannot write " + paths.back());
+    }
   }
-  return vanet::runner::resultFromPartials(std::move(partials));
+  vanet::runner::CampaignResult merged =
+      vanet::runner::resultFromPartialFiles(paths);
+  fs::remove_all(dir);
+  return merged;
 }
 
 int runShardMode(vanet::runner::CampaignConfig campaign) {

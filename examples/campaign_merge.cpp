@@ -8,10 +8,10 @@
 ///   $ ./example_campaign_merge shard_0.part shard_1.part
 ///       [--csv=FILE] [--json=FILE] [--figures-dir=DIR --figures-base=B]
 ///
-/// Shard files may be binary v3 or JSON v1/v2 (mixed freely; the format
-/// is auto-detected per file). Binary shards stream point-by-point
-/// through a bounded record buffer -- the fast path for many-point
-/// campaigns -- while JSON falls back to the DOM reader.
+/// Shard files are binary v3 partials (runner/partial_binary.h); each
+/// streams point by point through a bounded record buffer. A file in any
+/// other format -- including the retired JSON v1/v2 partials -- fails
+/// with an error naming it.
 ///
 /// With no output flags the tool just validates and prints the merged
 /// point count (useful as a shard-set integrity check).

@@ -10,7 +10,7 @@
 ///       the spec; the flags steer only the engine:
 ///         --threads=N --shard=i/N --streaming
 ///         --checkpoint=F --resume --halt-after-waves=K
-///         --partial-out=F --partial-format=bin|json
+///         --partial-out=F
 ///         --progress --log-level=L
 ///       With --csv=DIR the spec's emit list is written into DIR, every
 ///       artefact with a manifest sidecar recording the spec path and
@@ -118,9 +118,9 @@ int main(int argc, char** argv) {
   // Engine knobs only: the experiment definition is the spec's. No
   // --seed / --rounds / --target-ci here by design -- edit the spec.
   std::vector<std::string> known = {
-      "threads",    "shard",            "partial-out", "partial-format",
-      "checkpoint", "resume",           "halt-after-waves", "streaming",
-      "progress",   "log-level",        "csv"};
+      "threads",   "shard",     "partial-out",      "checkpoint",
+      "resume",    "streaming", "halt-after-waves", "progress",
+      "log-level", "csv"};
   flags.allowOnly(known);
 
   runner::CampaignSpec spec;
@@ -158,13 +158,8 @@ int main(int argc, char** argv) {
   printEmitViews(spec, result);
 
   if (!run.partialOut.empty()) {
-    const runner::PartialFormat format =
-        run.partialFormat == "bin"    ? runner::PartialFormat::kBinary
-        : run.partialFormat == "json" ? runner::PartialFormat::kJson
-                                      : runner::PartialFormat::kAuto;
     if (!runner::writeCampaignPartial(run.partialOut,
-                                      runner::campaignPartial(result),
-                                      format)) {
+                                      runner::campaignPartial(result))) {
       return 1;
     }
     std::cout << "wrote " << run.partialOut << "\n";

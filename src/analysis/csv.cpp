@@ -1,20 +1,16 @@
 #include "analysis/csv.h"
 
 #include <algorithm>
-#include <fstream>
+#include <sstream>
 
-#include "util/log.h"
+#include "util/file.h"
 
 namespace vanet::analysis {
 
 bool writeSeriesCsv(const std::string& path, const std::string& indexName,
                     const std::vector<std::string>& headers,
                     const std::vector<std::vector<double>>& columns) {
-  std::ofstream out(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
-    return false;
-  }
+  std::ostringstream out;
   out << indexName;
   for (const auto& header : headers) out << "," << header;
   out << "\n";
@@ -28,15 +24,11 @@ bool writeSeriesCsv(const std::string& path, const std::string& indexName,
     }
     out << "\n";
   }
-  return static_cast<bool>(out);
+  return util::writeFile(path, out.str());
 }
 
 bool writeTable1Csv(const std::string& path, const trace::Table1Data& data) {
-  std::ofstream out(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
-    return false;
-  }
+  std::ostringstream out;
   out << "car,tx_by_ap_mean,tx_by_ap_sd,lost_before_mean,lost_before_sd,"
          "pct_before,lost_after_mean,lost_after_sd,pct_after,"
          "lost_joint_mean,pct_joint\n";
@@ -48,7 +40,7 @@ bool writeTable1Csv(const std::string& path, const trace::Table1Data& data) {
         << "," << row.lostJoint.mean() << "," << row.pctLostJoint.mean()
         << "\n";
   }
-  return static_cast<bool>(out);
+  return util::writeFile(path, out.str());
 }
 
 namespace {
@@ -84,18 +76,6 @@ std::string renderCsv(const std::vector<std::string>& headers,
     out += '\n';
   }
   return out;
-}
-
-bool writeRowsCsv(const std::string& path,
-                  const std::vector<std::string>& headers,
-                  const std::vector<std::vector<std::string>>& rows) {
-  std::ofstream out(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
-    return false;
-  }
-  out << renderCsv(headers, rows);
-  return static_cast<bool>(out);
 }
 
 }  // namespace vanet::analysis

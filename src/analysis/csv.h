@@ -18,7 +18,8 @@ bool writeSeriesCsv(const std::string& path, const std::string& indexName,
                     const std::vector<std::string>& headers,
                     const std::vector<std::vector<double>>& columns);
 
-/// Writes the Table 1 aggregate (one row per car).
+/// Writes the Table 1 aggregate (one row per car); false (and logs) on
+/// I/O failure.
 bool writeTable1Csv(const std::string& path, const trace::Table1Data& data);
 
 /// Renders a generic table (header row plus pre-formatted cells) as CSV
@@ -26,10 +27,5 @@ bool writeTable1Csv(const std::string& path, const trace::Table1Data& data);
 /// 4180. Used by the campaign engine's emitters.
 std::string renderCsv(const std::vector<std::string>& headers,
                       const std::vector<std::vector<std::string>>& rows);
-
-/// Writes renderCsv() output to `path`; false (and logs) on I/O failure.
-bool writeRowsCsv(const std::string& path,
-                  const std::vector<std::string>& headers,
-                  const std::vector<std::vector<std::string>>& rows);
 
 }  // namespace vanet::analysis

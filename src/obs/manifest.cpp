@@ -4,8 +4,8 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "util/file.h"
 #include "util/json.h"
-#include "util/log.h"
 
 #if __has_include("vanet_build_info.h")
 #include "vanet_build_info.h"
@@ -239,18 +239,9 @@ std::string manifestPathFor(const std::string& artifactPath) {
 }
 
 bool writeManifestSidecar(const RunManifest& manifest) {
-  const std::string path = manifestPathFor(manifest.artifact);
-  std::ofstream out(path);
-  if (!out) {
-    LOG_WARN("cannot open manifest sidecar " << path << " for writing");
-    return false;
-  }
-  out << manifestJson(manifest);
-  if (!out) {
-    LOG_WARN("short write on manifest sidecar " << path);
-    return false;
-  }
-  return true;
+  // Best effort: a sidecar failure warns, the artefact write stands.
+  return util::writeFile(manifestPathFor(manifest.artifact),
+                         manifestJson(manifest), LogLevel::kWarn);
 }
 
 }  // namespace vanet::obs

@@ -3,14 +3,12 @@
 /// \file accumulate.h
 /// The *accumulate* layer of the campaign pipeline: folds JobResults
 /// into per-grid-point summaries strictly in job order (the merge that
-/// used to live inline in runCampaign), and (de)serializes summaries to
-/// the versioned partial-result formats that shard processes exchange:
-/// JSON v1/v2 (text, human-greppable) and the compact binary v3
-/// (runner/partial_binary.h; the fast path for large campaigns).
-/// Because every RunningStats round-trips its full Welford merge state
-/// -- shortest-round-trip text in JSON, raw IEEE-754 payloads in binary
-/// -- results reassembled from shard files are bit-identical to a
-/// single-process run whichever format carried them.
+/// used to live inline in runCampaign), writes and reads the partial
+/// files that shard processes exchange -- the binary v3 format of
+/// runner/partial_binary.h, the only one -- and merges shard sets back
+/// into the full grid. Because every RunningStats round-trips its full
+/// Welford merge state as raw IEEE-754 payloads, results reassembled
+/// from shard files are bit-identical to a single-process run.
 
 #include <cstddef>
 #include <cstdint>
@@ -119,15 +117,8 @@ class CampaignAccumulator {
 /// A shard's serialized contribution: the campaign identity (so merging
 /// validates shards belong together) plus its merged point summaries.
 struct CampaignPartial {
-  /// Format version of the JSON partial-result file. Writers always emit
-  /// the current version; readers accept every version back to
-  /// kMinVersion (v1 files predate adaptive replication -- their
-  /// adaptive fields read as "fixed count") and reject anything else.
-  static constexpr int kVersion = 2;
-  static constexpr int kMinVersion = 1;
-  /// Version of the compact binary encoding (runner/partial_binary.h).
-  /// The version space is shared across formats: v1/v2 are JSON, v3 is
-  /// binary; readCampaignPartial auto-detects by magic.
+  /// Version of the binary encoding (runner/partial_binary.h). Versions
+  /// 1 and 2 were JSON documents; readers reject them by their magic.
   static constexpr int kBinaryVersion = 3;
 
   std::string scenario;
@@ -136,7 +127,7 @@ struct CampaignPartial {
   /// Per-point replication cap of the plan (the fixed count, or
   /// maxReplications for adaptive campaigns).
   int replications = 0;
-  /// Adaptive-replication header (v2): all shards of one campaign must
+  /// Adaptive-replication header: all shards of one campaign must
   /// agree on the stop rule. 0 / empty for fixed-count campaigns.
   double targetRelativeCi95 = 0.0;
   int minReplications = 0;
@@ -147,7 +138,7 @@ struct CampaignPartial {
   /// adaptive campaigns, whose converged points stop early).
   std::size_t totalJobs = 0;
   std::vector<GridPointSummary> points;  ///< this shard's, in grid order
-  /// Checkpoint trailer (binary v3 only): set when this partial is a
+  /// Checkpoint trailer: set when this partial is a
   /// per-wave checkpoint rather than a finished shard contribution.
   /// `checkpointCoveredReps` is the replication prefix every still-open
   /// point has folded; `checkpointComplete` marks the final barrier (the
@@ -157,41 +148,29 @@ struct CampaignPartial {
   bool hasCheckpoint = false;
   int checkpointCoveredReps = 0;
   bool checkpointComplete = false;
-  /// Where this partial was read from (set by readCampaignPartial; empty
-  /// for in-process partials). Never serialized -- it exists so merge
+  /// Where this partial was read from (set by the file reader; empty for
+  /// in-process partials). Never serialized -- it exists so merge
   /// validation errors can name the offending file.
   std::string sourcePath;
 };
 
-/// On-disk encoding of a campaign partial. kAuto picks binary for shard
-/// runs (the CLI default for --shard; compact and ~an order of magnitude
-/// faster to write+merge) and JSON otherwise (back-compat for tooling
-/// that greps partials).
-enum class PartialFormat { kAuto, kJson, kBinary };
+/// On-disk encoding of a campaign partial: binary v3 is the only one.
+/// The enum exists only so the repository benchmark (perfbench/), which
+/// still names PartialFormat::kBinary, keeps building; it goes with the
+/// next change to that benchmark.
+enum class PartialFormat { kBinary };
 
-/// Serializes a partial to its versioned JSON document. Deterministic:
-/// bit-identical summaries render byte-identical text.
-std::string campaignPartialJson(const CampaignPartial& partial);
-
-/// Parses campaignPartialJson() output. Throws std::runtime_error on
-/// malformed input or a version mismatch.
-CampaignPartial parseCampaignPartial(const std::string& text);
-
-/// Writes the partial to `path` in the requested format (kAuto: binary
-/// when partial.shard.count > 1, JSON otherwise); false (and logs) on
-/// I/O failure. The two-argument overload keeps the historical JSON
-/// behaviour.
+/// Writes the partial to `path` as binary v3 (campaignPartialBinary)
+/// plus its provenance sidecar; false (and logs the path) on any I/O
+/// failure, including one that only surfaces when the file is closed.
 bool writeCampaignPartial(const std::string& path,
                           const CampaignPartial& partial,
-                          PartialFormat format);
-bool writeCampaignPartial(const std::string& path,
-                          const CampaignPartial& partial);
+                          PartialFormat format = PartialFormat::kBinary);
 
-/// Reads and parses a partial file, auto-detecting the format by magic:
-/// binary v3 files start with the kPartialBinaryMagic bytes, everything
-/// else parses as JSON v1/v2. Throws std::runtime_error (prefixed with
-/// the path; binary errors also carry the byte offset of the bad
-/// section) when the file cannot be read or parsed.
+/// Reads a whole partial file (header, checkpoint trailer and every
+/// point) through PartialBinaryFileReader. Throws std::runtime_error,
+/// prefixed with the path and naming the byte offset of the damage, when
+/// the file cannot be read or is not a valid v3 partial.
 CampaignPartial readCampaignPartial(const std::string& path);
 
 /// Folds shard partials (any order given; folded in shard order) back
@@ -203,13 +182,12 @@ CampaignPartial readCampaignPartial(const std::string& path);
 std::vector<GridPointSummary> mergeCampaignPartials(
     std::vector<CampaignPartial> partials);
 
-/// The streaming fast path behind campaign_merge: reads the named shard
-/// files and folds their points into the full grid with the same
-/// validation as mergeCampaignPartials, but binary partials stream
-/// point-by-point through buffered reads (peak memory one point record,
-/// never a parsed DOM). JSON files fall back to the DOM reader. When
-/// `headerOut` is non-null it receives the campaign identity of the set
-/// (points left empty). Formats may be mixed across files.
+/// The merge behind campaign_merge: reads the named shard files and
+/// folds their points into the full grid with the same validation as
+/// mergeCampaignPartials, streaming each file point by point (peak
+/// memory one point record, never a whole shard). When `headerOut` is
+/// non-null it receives the campaign identity of the set (points left
+/// empty).
 std::vector<GridPointSummary> mergeCampaignPartialFiles(
     const std::vector<std::string>& paths,
     CampaignPartial* headerOut = nullptr);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "obs/counters.h"
 #include "obs/progress.h"
 #include "runner/partial_binary.h"
+#include "util/file.h"
 
 namespace vanet::runner {
 namespace {
@@ -77,17 +77,11 @@ CampaignPartial loadCheckpoint(const std::string& path,
 void writeCheckpointAtomically(const std::string& path,
                                const CampaignPartial& checkpoint) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("cannot open " + tmp +
-                               " for writing the campaign checkpoint");
-    }
-    out << campaignPartialBinary(checkpoint);
-    if (!out) {
-      throw std::runtime_error("failed writing the campaign checkpoint to " +
-                               tmp);
-    }
+  // A write that fails -- even only at close -- must never reach the
+  // rename: that would replace the last good checkpoint with a torn one.
+  if (!util::writeFile(tmp, campaignPartialBinary(checkpoint))) {
+    throw std::runtime_error("failed writing the campaign checkpoint to " +
+                             tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw std::runtime_error("cannot move the campaign checkpoint into " +

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
 
 #include "analysis/csv.h"
 #include "obs/manifest.h"
+#include "util/file.h"
 #include "util/json.h"
-#include "util/log.h"
 
 namespace vanet::runner {
 namespace {
@@ -132,13 +131,7 @@ std::string campaignCsv(const CampaignResult& result) {
 }
 
 bool writeCampaignCsv(const std::string& path, const CampaignResult& result) {
-  std::ofstream out(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
-    return false;
-  }
-  out << campaignCsv(result);
-  if (!out) return false;
+  if (!util::writeFile(path, campaignCsv(result))) return false;
   writeCampaignArtifactManifest(path, result);
   return true;
 }
@@ -221,13 +214,7 @@ std::string campaignJson(const CampaignResult& result) {
 }
 
 bool writeCampaignJson(const std::string& path, const CampaignResult& result) {
-  std::ofstream out(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
-    return false;
-  }
-  out << campaignJson(result);
-  if (!out) return false;
+  if (!util::writeFile(path, campaignJson(result))) return false;
   writeCampaignArtifactManifest(path, result);
   return true;
 }
@@ -319,13 +306,7 @@ std::string figureSeriesCsv(const trace::FlowFigure& figure) {
 }
 
 bool writeFigureCsv(const std::string& path, const trace::FlowFigure& figure) {
-  std::ofstream out(path);
-  if (!out) {
-    LOG_ERROR("cannot open " << path << " for writing");
-    return false;
-  }
-  out << figureSeriesCsv(figure);
-  return static_cast<bool>(out);
+  return util::writeFile(path, figureSeriesCsv(figure));
 }
 
 std::size_t writeCampaignFigureCsvs(const std::string& dir,

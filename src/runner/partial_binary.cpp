@@ -1,5 +1,7 @@
 #include "runner/partial_binary.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -21,6 +23,10 @@ constexpr std::uint32_t kSectionCheckpoint = 3;
 /// magic + version + section count.
 constexpr std::size_t kProloguePrefix = 8 + 4 + 4;
 constexpr std::size_t kTableEntrySize = 4 + 4 + 8 + 8;
+constexpr std::uint32_t kMaxSections = 16;
+/// The longest prologue parsePrologue accepts.
+constexpr std::size_t kMaxPrologue =
+    kProloguePrefix + kMaxSections * kTableEntrySize;
 constexpr std::size_t kChecksumSize = 8;
 
 struct SectionEntry {
@@ -29,9 +35,9 @@ struct SectionEntry {
   std::uint64_t length = 0;
 };
 
-/// The v2 JSON parser enforces the same bounds: a corrupt or hand-edited
-/// adaptive header must fail loudly, never feed degenerate wave
-/// arithmetic downstream.
+/// The bounds buildPlan enforces: a corrupt or hand-edited adaptive
+/// header must fail loudly, never feed degenerate wave arithmetic
+/// downstream.
 void validateAdaptiveHeader(const CampaignPartial& partial) {
   if (partial.targetRelativeCi95 > 0.0 &&
       (partial.minReplications < 1 ||
@@ -145,8 +151,7 @@ GridPointSummary parsePointRecord(BinReader& in) {
   return point;
 }
 
-/// Parses the fixed prologue (magic, version, section table) out of
-/// `data`; used by both the in-memory parser and the streaming reader.
+/// Parses the prologue (magic, version, section table).
 std::vector<SectionEntry> parsePrologue(BinReader& in) {
   char magic[8];
   in.need(sizeof magic, "magic");
@@ -164,7 +169,7 @@ std::vector<SectionEntry> parsePrologue(BinReader& in) {
         std::to_string(CampaignPartial::kBinaryVersion) + ")");
   }
   const std::uint32_t sectionCount = in.u32("section count");
-  if (sectionCount == 0 || sectionCount > 16) {
+  if (sectionCount == 0 || sectionCount > kMaxSections) {
     throw std::runtime_error("implausible section count " +
                              std::to_string(sectionCount) +
                              " at byte offset 12");
@@ -179,8 +184,8 @@ std::vector<SectionEntry> parsePrologue(BinReader& in) {
   return table;
 }
 
-/// Section-table sanity shared by both readers: offsets must tile the
-/// payload region [payloadStart, payloadEnd) in order, gap-free.
+/// Section-table sanity: offsets must tile the payload region
+/// [payloadStart, payloadEnd) in order, gap-free.
 void validateSectionTable(const std::vector<SectionEntry>& table,
                           std::size_t payloadStart, std::size_t payloadEnd) {
   std::size_t cursor = payloadStart;
@@ -220,12 +225,6 @@ void validateSectionTable(const std::vector<SectionEntry>& table,
 }
 
 }  // namespace
-
-bool looksLikeBinaryPartial(std::string_view prefix) noexcept {
-  return prefix.size() >= sizeof kPartialBinaryMagic &&
-         std::memcmp(prefix.data(), kPartialBinaryMagic,
-                     sizeof kPartialBinaryMagic) == 0;
-}
 
 std::string campaignPartialBinary(const CampaignPartial& partial) {
   BinWriter header;
@@ -271,177 +270,19 @@ std::string campaignPartialBinary(const CampaignPartial& partial) {
   return out.take();
 }
 
-CampaignPartial parseCampaignPartialBinary(std::string_view data) {
-  BinReader prologue(data);
-  const std::vector<SectionEntry> table = parsePrologue(prologue);
-  if (data.size() < prologue.offset() + kChecksumSize) {
-    throw std::runtime_error("truncated at byte offset " +
-                             std::to_string(data.size()) +
-                             ": no room for the trailing checksum");
-  }
-  validateSectionTable(table, prologue.offset(), data.size() - kChecksumSize);
-  const std::uint64_t expected = util::fnv1a64(
-      data.data(), data.size() - kChecksumSize);
-  BinReader trailer(data.substr(data.size() - kChecksumSize),
-                    data.size() - kChecksumSize);
-  const std::uint64_t stored = trailer.u64("file checksum");
-  if (stored != expected) {
-    throw std::runtime_error("checksum mismatch: file is corrupt (stored " +
-                             std::to_string(stored) + ", computed " +
-                             std::to_string(expected) + ")");
-  }
-
-  CampaignPartial partial;
-  std::uint64_t pointCount = 0;
-  for (const SectionEntry& entry : table) {
-    BinReader in(data.substr(entry.offset, entry.length), entry.offset);
-    switch (entry.id) {
-      case kSectionHeader:
-        pointCount = parseHeaderSection(in, partial);
-        break;
-      case kSectionCheckpoint:
-        parseCheckpointSection(in, partial);
-        break;
-      case kSectionPoints: {
-        // Every record carries at least its u64 length framing.
-        if (pointCount > in.remaining() / 8) {
-          throw std::runtime_error(
-              "header point count " + std::to_string(pointCount) +
-              " cannot fit the " + std::to_string(entry.length) +
-              "-byte points section at byte offset " +
-              std::to_string(entry.offset));
-        }
-        partial.points.reserve(pointCount);
-        for (std::uint64_t k = 0; k < pointCount; ++k) {
-          try {
-            const std::uint64_t recordLen = in.u64("point record length");
-            const std::size_t recordOffset = in.offset();
-            BinReader record(in.view(recordLen, "point record"), recordOffset);
-            partial.points.push_back(parsePointRecord(record));
-          } catch (const std::runtime_error& error) {
-            throw std::runtime_error("point record " + std::to_string(k + 1) +
-                                     " of " + std::to_string(pointCount) +
-                                     ": " + error.what());
-          }
-        }
-        if (!in.atEnd()) {
-          throw std::runtime_error(
-              "trailing bytes at byte offset " + std::to_string(in.offset()) +
-              " after the last point record");
-        }
-        break;
-      }
-      default:
-        break;  // unreachable: validateSectionTable rejected unknown ids
-    }
-  }
-  return partial;
-}
-
 PartialBinaryFileReader::PartialBinaryFileReader(const std::string& path)
     : path_(path), runningHash_(util::fnv1a64(nullptr, 0)) {
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) {
-    throw std::runtime_error("cannot open " + path + " for reading");
+    throw std::runtime_error(path + ": cannot open for reading: " +
+                             std::strerror(errno));
   }
   try {
-    // The file size bounds every stored length before it sizes a buffer.
-    const long size =
-        std::fseek(file_, 0, SEEK_END) == 0 ? std::ftell(file_) : -1;
-    if (size < 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
-      fail("cannot determine the file size");
-    }
-    fileSize_ = static_cast<std::uint64_t>(size);
-    // Prologue: magic, version, section count, then the table.
-    std::string prefix(kProloguePrefix, '\0');
-    readExact(prefix.data(), prefix.size(), "file prologue");
-    BinReader prefixReader(prefix);
-    char magic[8];
-    for (char& byte : magic) byte = static_cast<char>(prefixReader.u8("magic"));
-    if (!looksLikeBinaryPartial(std::string_view(magic, sizeof magic))) {
-      fail("not a binary campaign partial (bad magic)");
-    }
-    const std::uint32_t version = prefixReader.u32("format version");
-    if (version !=
-        static_cast<std::uint32_t>(CampaignPartial::kBinaryVersion)) {
-      fail("unsupported binary campaign partial version " +
-           std::to_string(version) + " (supported: " +
-           std::to_string(CampaignPartial::kBinaryVersion) + ")");
-    }
-    const std::uint32_t sectionCount = prefixReader.u32("section count");
-    if (sectionCount == 0 || sectionCount > 16) {
-      fail("implausible section count " + std::to_string(sectionCount));
-    }
-    std::string tableBytes(sectionCount * kTableEntrySize, '\0');
-    readExact(tableBytes.data(), tableBytes.size(), "section table");
-    std::vector<SectionEntry> table(sectionCount);
-    BinReader tableReader(tableBytes, kProloguePrefix);
-    for (SectionEntry& entry : table) {
-      entry.id = tableReader.u32("section id");
-      (void)tableReader.u32("section flags");
-      entry.offset = tableReader.u64("section offset");
-      entry.length = tableReader.u64("section length");
-    }
-    // Streamed sequentially: each section must start exactly where the
-    // previous one ended (validateSectionTable's tiling rule, minus the
-    // end-of-file bound we cannot know without a seek).
-    std::size_t cursor = fileOffset_;
-    for (std::size_t s = 0; s < table.size(); ++s) {
-      const SectionEntry& entry = table[s];
-      if (entry.id != kSectionHeader && entry.id != kSectionPoints &&
-          entry.id != kSectionCheckpoint) {
-        fail("unknown section id " + std::to_string(entry.id) +
-             " in section table");
-      }
-      if (entry.offset != cursor) {
-        fail("section table entry " + std::to_string(s) +
-             " claims byte offset " + std::to_string(entry.offset) +
-             ", expected " + std::to_string(cursor));
-      }
-      cursor += entry.length;
-    }
-    if (table.front().id != kSectionHeader) {
-      fail("first section must be the header");
-    }
-    if (table.back().id != kSectionPoints) {
-      fail("last section must be the points");
-    }
-
-    // Everything before the points parses up front (header, checkpoint);
-    // the points then stream record by record.
-    std::uint64_t pointCount = 0;
-    for (std::size_t s = 0; s + 1 < table.size(); ++s) {
-      const SectionEntry& entry = table[s];
-      requireFileBytes(entry.length, entry.id == kSectionHeader
-                                         ? "header section"
-                                         : "checkpoint section");
-      std::string payload(entry.length, '\0');
-      readExact(payload.data(), payload.size(),
-                entry.id == kSectionHeader ? "header section"
-                                           : "checkpoint section");
-      BinReader in(payload, entry.offset);
-      if (entry.id == kSectionHeader) {
-        pointCount = parseHeaderSection(in, header_);
-      } else {
-        parseCheckpointSection(in, header_);
-      }
-    }
-    header_.sourcePath = path_;
-    // Every record carries at least its u64 length framing.
-    if (pointCount > table.back().length / 8) {
-      fail("header point count " + std::to_string(pointCount) +
-           " cannot fit the " + std::to_string(table.back().length) +
-           "-byte points section at byte offset " +
-           std::to_string(table.back().offset));
-    }
-    pointsLeft_ = table.back().length;
-    remaining_ = static_cast<std::size_t>(pointCount);
-    if (remaining_ == 0) {
-      // Zero-point shard: nothing will call into the record loop, so the
-      // checksum trailer verifies here.
-      GridPointSummary unused;
-      nextPoint(unused);
-    }
+    readHeader();
+  } catch (const std::runtime_error& error) {
+    std::fclose(file_);
+    file_ = nullptr;
+    throw std::runtime_error(path_ + ": " + error.what());
   } catch (...) {
     std::fclose(file_);
     file_ = nullptr;
@@ -453,37 +294,103 @@ PartialBinaryFileReader::~PartialBinaryFileReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void PartialBinaryFileReader::fail(const std::string& message) const {
-  throw std::runtime_error(path_ + ": " + message);
+bool PartialBinaryFileReader::nextPoint(GridPointSummary& out) {
+  try {
+    return readNextPoint(out);
+  } catch (const std::runtime_error& error) {
+    throw std::runtime_error(path_ + ": " + error.what());
+  }
 }
 
-void PartialBinaryFileReader::failTruncated(std::uint64_t need,
-                                            std::uint64_t have,
-                                            const char* what) const {
-  fail("truncated at byte offset " + std::to_string(fileOffset_ + have) +
-       " while reading " + what + " (need " + std::to_string(need) +
-       " bytes, have " + std::to_string(have) + ")");
-}
+void PartialBinaryFileReader::readHeader() {
+  // The file size bounds every stored length before it sizes a buffer.
+  const long size =
+      std::fseek(file_, 0, SEEK_END) == 0 ? std::ftell(file_) : -1;
+  if (size < 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
+    throw std::runtime_error("cannot determine the file size");
+  }
+  fileSize_ = static_cast<std::uint64_t>(size);
 
-void PartialBinaryFileReader::requireFileBytes(std::uint64_t size,
-                                               const char* what) const {
-  const std::uint64_t have =
-      fileSize_ > fileOffset_ ? fileSize_ - fileOffset_ : 0;
-  if (size > have) failTruncated(size, have, what);
+  // The prologue is at most kMaxPrologue bytes: parse it from a peek at
+  // the file's head, then consume exactly the bytes it spans.
+  std::string head(static_cast<std::size_t>(std::min<std::uint64_t>(
+                       fileSize_, kMaxPrologue)),
+                   '\0');
+  if (std::fread(head.data(), 1, head.size(), file_) != head.size()) {
+    throw std::runtime_error("cannot read the file prologue");
+  }
+  BinReader prologue(head);
+  const std::vector<SectionEntry> table = parsePrologue(prologue);
+  fileOffset_ = prologue.offset();
+  runningHash_ = util::fnv1a64(head.data(), fileOffset_, runningHash_);
+  if (std::fseek(file_, static_cast<long>(fileOffset_), SEEK_SET) != 0) {
+    throw std::runtime_error("cannot seek past the file prologue");
+  }
+  if (fileSize_ < fileOffset_ + kChecksumSize) {
+    throw std::runtime_error("truncated at byte offset " +
+                             std::to_string(fileSize_) +
+                             ": no room for the trailing checksum");
+  }
+  validateSectionTable(table, fileOffset_, fileSize_ - kChecksumSize);
+
+  // Everything before the points parses up front (header, checkpoint);
+  // the points then stream record by record.
+  std::uint64_t pointCount = 0;
+  for (std::size_t s = 0; s + 1 < table.size(); ++s) {
+    const SectionEntry& entry = table[s];
+    const bool isHeader = entry.id == kSectionHeader;
+    std::string payload(static_cast<std::size_t>(entry.length), '\0');
+    readExact(payload.data(), payload.size(),
+              isHeader ? "header section" : "checkpoint section");
+    BinReader in(payload, entry.offset);
+    if (isHeader) {
+      pointCount = parseHeaderSection(in, header_);
+    } else {
+      parseCheckpointSection(in, header_);
+    }
+  }
+  header_.sourcePath = path_;
+  const SectionEntry& points = table.back();
+  // Every record carries at least its u64 length framing.
+  if (pointCount > points.length / 8) {
+    throw std::runtime_error(
+        "header point count " + std::to_string(pointCount) +
+        " cannot fit the " + std::to_string(points.length) +
+        "-byte points section at byte offset " +
+        std::to_string(points.offset));
+  }
+  pointsLeft_ = points.length;
+  remaining_ = static_cast<std::size_t>(pointCount);
+  if (remaining_ == 0) {
+    // Zero-point shard: nothing will call into the record loop, so the
+    // checksum trailer verifies here.
+    GridPointSummary unused;
+    readNextPoint(unused);
+  }
 }
 
 void PartialBinaryFileReader::readExact(void* into, std::size_t size,
                                         const char* what) {
   if (size == 0) return;
   const std::size_t got = std::fread(into, 1, size, file_);
-  if (got != size) failTruncated(size, got, what);
+  if (got != size) {
+    throw std::runtime_error(
+        "truncated at byte offset " + std::to_string(fileOffset_ + got) +
+        " while reading " + what + " (need " + std::to_string(size) +
+        " bytes, have " + std::to_string(got) + ")");
+  }
   runningHash_ = util::fnv1a64(into, size, runningHash_);
   fileOffset_ += size;
 }
 
-bool PartialBinaryFileReader::nextPoint(GridPointSummary& out) {
+bool PartialBinaryFileReader::readNextPoint(GridPointSummary& out) {
   if (remaining_ == 0) {
     if (file_ != nullptr) {
+      if (pointsLeft_ != 0) {
+        throw std::runtime_error("trailing bytes at byte offset " +
+                                 std::to_string(fileOffset_) +
+                                 " after the last point record");
+      }
       // Verify the trailing checksum exactly once, after the last record.
       const std::uint64_t computed = runningHash_;
       char trailer[kChecksumSize];
@@ -492,44 +399,48 @@ bool PartialBinaryFileReader::nextPoint(GridPointSummary& out) {
                    fileOffset_ - kChecksumSize);
       const std::uint64_t stored = in.u64("file checksum");
       if (stored != computed) {
-        fail("checksum mismatch: file is corrupt (stored " +
-             std::to_string(stored) + ", computed " +
-             std::to_string(computed) + ")");
-      }
-      if (std::fgetc(file_) != EOF) {
-        fail("trailing garbage after the checksum at byte offset " +
-             std::to_string(fileOffset_));
+        throw std::runtime_error(
+            "checksum mismatch: file is corrupt (stored " +
+            std::to_string(stored) + ", computed " +
+            std::to_string(computed) + ")");
       }
       std::fclose(file_);
       file_ = nullptr;
     }
     return false;
   }
-  char lenBytes[8];
-  readExact(lenBytes, sizeof lenBytes, "point record length");
-  BinReader lenReader(std::string_view(lenBytes, sizeof lenBytes),
-                      fileOffset_ - sizeof lenBytes);
-  const std::uint64_t recordLen = lenReader.u64("point record length");
-  // Bound the stored length by the bytes really left -- in the points
-  // section, then in the file -- before it sizes the buffer.
-  const std::uint64_t sectionLeft = pointsLeft_ >= 8 ? pointsLeft_ - 8 : 0;
-  if (recordLen > sectionLeft) {
-    fail("point record " + std::to_string(streamed_ + 1) + ": length " +
-         std::to_string(recordLen) + " at byte offset " +
-         std::to_string(fileOffset_ - sizeof lenBytes) + " exceeds the " +
-         std::to_string(sectionLeft) + " bytes left in the points section");
-  }
-  requireFileBytes(recordLen, "point record");
-  pointsLeft_ = sectionLeft - recordLen;
-  recordBuf_.resize(static_cast<std::size_t>(recordLen));
-  const std::size_t recordOffset = fileOffset_;
-  readExact(recordBuf_.data(), recordBuf_.size(), "point record");
   try {
+    const std::size_t framingOffset = fileOffset_;
+    if (pointsLeft_ < 8) {
+      throw std::runtime_error("the points section ends at byte offset " +
+                               std::to_string(framingOffset) +
+                               " before the record's length framing");
+    }
+    char lenBytes[8];
+    readExact(lenBytes, sizeof lenBytes, "point record length");
+    const std::uint64_t recordLen =
+        BinReader(std::string_view(lenBytes, sizeof lenBytes), framingOffset)
+            .u64("point record length");
+    // Bound the stored length by the bytes left in the points section
+    // (which the section table bounded by the file) before it sizes the
+    // buffer.
+    const std::uint64_t sectionLeft = pointsLeft_ - 8;
+    if (recordLen > sectionLeft) {
+      throw std::runtime_error(
+          "length " + std::to_string(recordLen) + " at byte offset " +
+          std::to_string(framingOffset) + " exceeds the " +
+          std::to_string(sectionLeft) + " bytes left in the points section");
+    }
+    pointsLeft_ = sectionLeft - recordLen;
+    recordBuf_.resize(static_cast<std::size_t>(recordLen));
+    const std::size_t recordOffset = fileOffset_;
+    readExact(recordBuf_.data(), recordBuf_.size(), "point record");
     BinReader record(recordBuf_, recordOffset);
     out = parsePointRecord(record);
   } catch (const std::runtime_error& error) {
-    fail("point record " + std::to_string(streamed_ + 1) + ": " +
-         error.what());
+    throw std::runtime_error("point record " + std::to_string(streamed_ + 1) +
+                             " of " + std::to_string(streamed_ + remaining_) +
+                             ": " + error.what());
   }
   ++streamed_;
   --remaining_;

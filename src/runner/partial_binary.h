@@ -1,9 +1,11 @@
 #pragma once
 
 /// \file partial_binary.h
-/// Campaign-partial format v3: the compact binary twin of the JSON v1/v2
-/// partials in accumulate.h, built for million-point campaigns where
-/// text serialization and DOM parsing dominate merge wall time.
+/// Campaign-partial format v3, the only format shard partials and wave
+/// checkpoints travel in (versions 1 and 2 were JSON documents; their
+/// files fail the magic check). PartialBinaryFileReader is its one
+/// decoder: campaign_merge, readCampaignPartial and checkpoint resume all
+/// read through it, so every bound on hostile input lives in one place.
 ///
 /// Wire layout (everything little-endian fixed-width; util/binio.h):
 ///
@@ -14,54 +16,46 @@
 ///   payload  the sections, in table order: HEADER, [CHECKPOINT], POINTS
 ///   checksum u64      FNV-1a 64 over every preceding byte
 ///
-/// HEADER mirrors the JSON v2 header (scenario, master seed, shard,
+/// HEADER carries the campaign identity (scenario, master seed, shard,
 /// replication cap, adaptive stop rule, grid/job totals, point count).
 /// CHECKPOINT (optional) carries the wave-barrier resume state. POINTS
 /// holds one length-framed record per grid point -- the framing is what
 /// lets readers stream records through a bounded buffer and report the
 /// byte offset of a damaged record. Doubles travel as raw IEEE-754
 /// payloads, so a round trip is bit-exact by construction and merged
-/// results reassembled from binary shards match the single-process run
-/// byte for byte (the same guarantee the JSON formats get from
-/// shortest-round-trip formatting).
+/// results reassembled from shards match the single-process run byte for
+/// byte.
 
 #include <cstddef>
 #include <cstdio>
 #include <string>
-#include <string_view>
 
 #include "runner/accumulate.h"
 
 namespace vanet::runner {
 
-/// The 8 magic bytes binary partials start with (format auto-detection).
+/// The 8 magic bytes every partial starts with.
 inline constexpr char kPartialBinaryMagic[8] = {'V', 'N', 'E', 'T',
                                                 'P', 'A', 'R', 'T'};
-
-/// True when `prefix` (>= 8 bytes of a file) carries the binary magic.
-bool looksLikeBinaryPartial(std::string_view prefix) noexcept;
 
 /// Serializes `partial` to the complete v3 byte stream (checksum
 /// included). Deterministic: bit-identical summaries produce identical
 /// bytes.
 std::string campaignPartialBinary(const CampaignPartial& partial);
 
-/// Parses campaignPartialBinary() output. Throws std::runtime_error on
-/// bad magic/version, a malformed section table, a checksum mismatch, or
-/// a truncated/corrupt record -- always naming the byte offset of the
-/// failure.
-CampaignPartial parseCampaignPartialBinary(std::string_view data);
-
-/// Streams one binary partial file: the header (and checkpoint trailer)
+/// Streams one partial file: the prologue, header and checkpoint trailer
 /// parse up front, then points decode one at a time through a bounded
 /// read buffer whose peak size is the largest single point record --
-/// never the whole points section. The running checksum is verified
-/// after the last record; a mismatch throws from nextPoint().
+/// never the whole points section. Every stored length and count is
+/// bounded by the bytes the file really holds before it sizes a buffer.
+/// The running checksum is verified after the last record. Every error
+/// is a std::runtime_error whose message starts with "<path>: " and
+/// names the byte offset of the damage.
 class PartialBinaryFileReader {
  public:
-  /// Opens `path` and reads everything up to the first point record.
-  /// Throws std::runtime_error (message prefixed with the path) on I/O
-  /// or format errors.
+  /// Opens `path` and reads everything up to the first point record:
+  /// bad magic or version, a section table that does not tile the file,
+  /// and a malformed header throw here.
   explicit PartialBinaryFileReader(const std::string& path);
   ~PartialBinaryFileReader();
 
@@ -81,12 +75,9 @@ class PartialBinaryFileReader {
   bool nextPoint(GridPointSummary& out);
 
  private:
-  [[noreturn]] void fail(const std::string& message) const;
-  [[noreturn]] void failTruncated(std::uint64_t need, std::uint64_t have,
-                                  const char* what) const;
-  /// Fails as a truncation unless `size` more bytes exist in the file;
-  /// checks a stored length before it sizes a buffer.
-  void requireFileBytes(std::uint64_t size, const char* what) const;
+  // The unprefixed steps; the public entry points add the path.
+  void readHeader();
+  bool readNextPoint(GridPointSummary& out);
   void readExact(void* into, std::size_t size, const char* what);
 
   std::string path_;

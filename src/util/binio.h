@@ -11,7 +11,7 @@
 ///
 /// BinReader is bounds-checked: every read that would run past the end
 /// throws std::runtime_error naming the byte offset and what was being
-/// read, which is what lets the partial-format layer report "truncated at
+/// read, which is what lets the partial reader report "truncated at
 /// byte N while reading X" for damaged shard files.
 
 #include <bit>
@@ -151,15 +151,6 @@ class BinReader {
     const std::uint32_t length = u32(what);
     need(length, what);
     std::string out(data_.substr(pos_, length));
-    pos_ += length;
-    return out;
-  }
-
-  /// A sub-view of `length` bytes from the current position (consumed),
-  /// for delegating one length-framed record to a nested reader.
-  std::string_view view(std::size_t length, const char* what) {
-    need(length, what);
-    const std::string_view out = data_.substr(pos_, length);
     pos_ += length;
     return out;
   }

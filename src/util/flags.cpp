@@ -145,9 +145,10 @@ void Flags::allowOnly(const std::vector<std::string>& known) const {
 }
 
 std::vector<std::string> campaignFlagNames() {
-  return {"seed",        "threads",        "shard",      "partial-out",
-          "partial-format", "checkpoint",  "resume",     "halt-after-waves",
-          "streaming",   "progress",       "log-level"};
+  return {"seed",       "threads",   "shard",
+          "partial-out", "checkpoint", "resume",
+          "halt-after-waves", "streaming", "progress",
+          "log-level"};
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {
@@ -167,11 +168,6 @@ CampaignRunFlags campaignRunFlags(const Flags& flags,
   run.threads = flags.getInt("threads", 0);
   run.shard = flags.getShard("shard");
   run.partialOut = flags.getString("partial-out", "");
-  run.partialFormat = flags.getString("partial-format", "");
-  if (!run.partialFormat.empty() && run.partialFormat != "bin" &&
-      run.partialFormat != "json") {
-    badValue("partial-format", run.partialFormat, "'bin' or 'json'");
-  }
   run.checkpoint = flags.getString("checkpoint", "");
   run.resume = flags.getBool("resume", false);
   if (run.resume && run.checkpoint.empty()) {

@@ -69,10 +69,7 @@ std::vector<std::string> campaignFlagNames();
 ///   --seed=S           master seed
 ///   --threads=N        campaign job workers (0 = hardware concurrency)
 ///   --shard=i/N        run shard i of N (whole grid points)
-///   --partial-out=F    write this shard's partial result to F
-///   --partial-format=X partial encoding: "bin" (compact binary v3) or
-///                      "json"; omit for the default (binary for --shard
-///                      runs, JSON otherwise)
+///   --partial-out=F    write this shard's partial result (binary v3) to F
 ///   --checkpoint=F     write a binary checkpoint partial to F at every
 ///                      replication-wave barrier (atomically)
 ///   --resume           restore the fold state from --checkpoint=F and
@@ -92,9 +89,6 @@ struct CampaignRunFlags {
   int threads = 0;
   ShardSpec shard{};
   std::string partialOut;
-  /// Partial-file encoding: "bin", "json", or empty for the format-auto
-  /// default (binary when sharded, JSON otherwise).
-  std::string partialFormat;
   std::string checkpoint;     ///< per-wave checkpoint file; empty = off
   bool resume = false;        ///< restore from `checkpoint` first
   int haltAfterWaves = -1;    ///< stop after K barriers (< 0: run all)

@@ -11,6 +11,7 @@
 #include "analysis/experiment.h"
 #include "analysis/serialize.h"
 #include "trace/serialize.h"
+#include "util/binio.h"
 
 namespace vanet::analysis {
 namespace {
@@ -66,11 +67,21 @@ HighwayReference highwaySerialReference(const HighwayExperiment& experiment,
   return reference;
 }
 
-std::string figuresJson(const std::map<FlowId, trace::FlowFigure>& figures) {
+/// The binary image of a merge state (the partial file serializer):
+/// equal bytes are bit-identical states.
+template <typename T>
+std::string bytesOf(void (*write)(util::BinWriter&, const T&),
+                    const T& value) {
+  util::BinWriter out;
+  write(out, value);
+  return out.take();
+}
+
+std::string figuresBytes(
+    const std::map<FlowId, trace::FlowFigure>& figures) {
   std::string out;
   for (const auto& [flow, figure] : figures) {
-    out += trace::flowFigureToJson(figure);
-    out += "\n";
+    out += bytesOf(trace::flowFigureToBin, figure);
   }
   return out;
 }
@@ -85,11 +96,11 @@ TEST(RoundOrderTest, UrbanRunMatchesSerialReference) {
   const UrbanExperimentResult result = experiment.run();
 
   EXPECT_EQ(result.rounds, config.rounds);
-  EXPECT_EQ(trace::table1ToJson(result.table1),
-            trace::table1ToJson(reference.table1));
-  EXPECT_EQ(figuresJson(result.figures), figuresJson(reference.figures));
-  EXPECT_EQ(protocolTotalsToJson(result.totals),
-            protocolTotalsToJson(reference.totals));
+  EXPECT_EQ(bytesOf(trace::table1ToBin, result.table1),
+            bytesOf(trace::table1ToBin, reference.table1));
+  EXPECT_EQ(figuresBytes(result.figures), figuresBytes(reference.figures));
+  EXPECT_EQ(bytesOf(protocolTotalsToBin, result.totals),
+            bytesOf(protocolTotalsToBin, reference.totals));
 }
 
 TEST(RoundOrderTest, HighwayRunMatchesSerialReference) {
@@ -106,19 +117,20 @@ TEST(RoundOrderTest, HighwayRunMatchesSerialReference) {
   const HighwayExperimentResult result = experiment.run();
 
   EXPECT_EQ(result.rounds, config.rounds);
-  EXPECT_EQ(trace::table1ToJson(result.table1),
-            trace::table1ToJson(reference.table1));
-  EXPECT_EQ(protocolTotalsToJson(result.totals),
-            protocolTotalsToJson(reference.totals));
+  EXPECT_EQ(bytesOf(trace::table1ToBin, result.table1),
+            bytesOf(trace::table1ToBin, reference.table1));
+  EXPECT_EQ(bytesOf(protocolTotalsToBin, result.totals),
+            bytesOf(protocolTotalsToBin, reference.totals));
   ASSERT_EQ(result.cars.size(), reference.cars.size());
   for (const auto& [car, expected] : reference.cars) {
     const HighwayCarResult& actual = result.cars.at(car);
     EXPECT_EQ(actual.car, expected.car);
     EXPECT_EQ(actual.completedRounds, expected.completedRounds);
-    EXPECT_EQ(trace::runningStatsToJson(actual.apVisitsToComplete),
-              trace::runningStatsToJson(expected.apVisitsToComplete));
-    EXPECT_EQ(trace::runningStatsToJson(actual.timeToCompleteSeconds),
-              trace::runningStatsToJson(expected.timeToCompleteSeconds));
+    EXPECT_EQ(bytesOf(trace::runningStatsToBin, actual.apVisitsToComplete),
+              bytesOf(trace::runningStatsToBin, expected.apVisitsToComplete));
+    EXPECT_EQ(
+        bytesOf(trace::runningStatsToBin, actual.timeToCompleteSeconds),
+        bytesOf(trace::runningStatsToBin, expected.timeToCompleteSeconds));
   }
 }
 

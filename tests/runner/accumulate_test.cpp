@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,10 +10,15 @@
 
 #include "runner/campaign.h"
 #include "runner/emit.h"
-#include "util/binio.h"
+#include "runner/partial_binary.h"
+#include "testing/partial_files.h"
 
 namespace vanet::runner {
 namespace {
+
+using vanet::testing::dump;
+using vanet::testing::slurp;
+using vanet::testing::throughFile;
 
 /// A small urban campaign that exercises every serialized payload:
 /// Table 1 rows, per-flow figures, protocol totals and scalar metrics.
@@ -43,14 +46,14 @@ std::string allFigureCsvs(const CampaignResult& result) {
   return out;
 }
 
-TEST(AccumulateTest, PartialJsonRoundTripIsByteStable) {
+TEST(AccumulateTest, PartialRoundTripIsByteStable) {
   const CampaignResult result = runCampaign(urbanCampaign());
   const CampaignPartial partial = campaignPartial(result);
-  const std::string text = campaignPartialJson(partial);
-  const CampaignPartial parsed = parseCampaignPartial(text);
-  // serialize -> parse -> serialize reproduces the bytes exactly: the
+  const std::string bytes = campaignPartialBinary(partial);
+  const CampaignPartial parsed = throughFile(partial, "roundtrip.part");
+  // serialize -> read -> serialize reproduces the bytes exactly: the
   // Welford merge-states survive the round trip bit for bit.
-  EXPECT_EQ(campaignPartialJson(parsed), text);
+  EXPECT_EQ(campaignPartialBinary(parsed), bytes);
   EXPECT_EQ(parsed.scenario, "urban");
   EXPECT_EQ(parsed.masterSeed, 2008u);
   EXPECT_EQ(parsed.replications, 2);
@@ -78,8 +81,8 @@ TEST(AccumulateTest, TwoShardsMergeBitIdenticalToSingleProcess) {
     EXPECT_EQ(result.jobCount, 4u);
     EXPECT_EQ(result.totalJobs, 8u);
     // File round trip, exactly as two processes would exchange them.
-    partials.push_back(
-        parseCampaignPartial(campaignPartialJson(campaignPartial(result))));
+    partials.push_back(throughFile(campaignPartial(result),
+                                   "two_shards" + std::to_string(shard)));
   }
   const CampaignResult merged = resultFromPartials(std::move(partials));
   EXPECT_EQ(merged.points.size(), 4u);
@@ -108,9 +111,8 @@ TEST(AccumulateTest, EmptyShardsRoundTripAndMerge) {
   std::vector<CampaignPartial> partials;
   for (int shard = 0; shard < 6; ++shard) {
     config.shard = Shard{shard, 6};
-    partials.push_back(
-        parseCampaignPartial(campaignPartialJson(campaignPartial(
-            runCampaign(config)))));
+    partials.push_back(throughFile(campaignPartial(runCampaign(config)),
+                                   "empty_shards" + std::to_string(shard)));
   }
   EXPECT_TRUE(partials[4].points.empty());
   const CampaignResult merged = resultFromPartials(std::move(partials));
@@ -144,7 +146,7 @@ TEST(AccumulateTest, MergeErrorsNameShardSpecAndSourceFile) {
   CampaignConfig config = urbanCampaign();
   config.shard = Shard{0, 2};
   const CampaignResult result = runCampaign(config);
-  const std::string path = ::testing::TempDir() + "/culprit_shard0.json";
+  const std::string path = ::testing::TempDir() + "/culprit_shard0.part";
   ASSERT_TRUE(writeCampaignPartial(path, campaignPartial(result)));
 
   // A partial read back from disk remembers its file; merge failures
@@ -174,35 +176,27 @@ TEST(AccumulateTest, MergeErrorsNameShardSpecAndSourceFile) {
 
 TEST(AccumulateTest, ReadErrorsNameTheFile) {
   const std::string path = ::testing::TempDir() + "/broken_partial.json";
-  std::ofstream(path) << "{\"format\":\"other\",\"version\":1}";
+  dump(path, "{\"format\":\"other\",\"version\":1}");
   try {
     readCampaignPartial(path);
     FAIL() << "foreign document must not parse";
   } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
+    EXPECT_EQ(std::string(error.what()).rfind(path + ": ", 0), 0u)
         << error.what();
   }
 }
 
 TEST(AccumulateTest, BinaryReadErrorsNameFileAndByteOffset) {
-  // The binary reader must match the JSON reader's error contract --
-  // the failing file is always named -- and add the byte offset of the
-  // damage, which text formats cannot give.
+  // The failing file is always named, and so is the byte offset of the
+  // damage.
   CampaignConfig config = urbanCampaign();
   config.shard = Shard{0, 2};
   const std::string good = ::testing::TempDir() + "/bin_ok.part";
-  ASSERT_TRUE(writeCampaignPartial(good,
-                                   campaignPartial(runCampaign(config)),
-                                   PartialFormat::kBinary));
-  std::string bytes;
-  {
-    std::ifstream in(good, std::ios::binary);
-    bytes.assign((std::istreambuf_iterator<char>(in)),
-                 std::istreambuf_iterator<char>());
-  }
+  ASSERT_TRUE(
+      writeCampaignPartial(good, campaignPartial(runCampaign(config))));
+  const std::string bytes = slurp(good);
   const std::string truncated = ::testing::TempDir() + "/bin_cut.part";
-  std::ofstream(truncated, std::ios::binary)
-      << bytes.substr(0, bytes.size() / 2);
+  dump(truncated, bytes.substr(0, bytes.size() / 2));
   try {
     readCampaignPartial(truncated);
     FAIL() << "truncated binary partial must not parse";
@@ -217,9 +211,8 @@ TEST(AccumulateTest, MergeFilesReportsTheUnreadableFile) {
   CampaignConfig config = urbanCampaign();
   config.shard = Shard{0, 2};
   const std::string good = ::testing::TempDir() + "/merge_ok.part";
-  ASSERT_TRUE(writeCampaignPartial(good,
-                                   campaignPartial(runCampaign(config)),
-                                   PartialFormat::kBinary));
+  ASSERT_TRUE(
+      writeCampaignPartial(good, campaignPartial(runCampaign(config))));
   const std::string missing = ::testing::TempDir() + "/merge_gone.part";
   try {
     mergeCampaignPartialFiles({good, missing});
@@ -231,9 +224,8 @@ TEST(AccumulateTest, MergeFilesReportsTheUnreadableFile) {
 }
 
 /// Writes the two shards of urbanCampaign() as `<stem>_s{0,1}` partial
-/// files in `format`, shard 0 claiming `shard0GridPoints` grid points.
+/// files, shard 0 claiming `shard0GridPoints` grid points.
 std::vector<std::string> writeShardPair(const std::string& stem,
-                                        PartialFormat format,
                                         std::uint64_t shard0GridPoints) {
   CampaignConfig config = urbanCampaign();
   std::vector<std::string> paths;
@@ -243,7 +235,7 @@ std::vector<std::string> writeShardPair(const std::string& stem,
     if (shard == 0) partial.totalPoints = shard0GridPoints;
     paths.push_back(::testing::TempDir() + "/" + stem + "_s" +
                     std::to_string(shard));
-    EXPECT_TRUE(writeCampaignPartial(paths.back(), partial, format));
+    EXPECT_TRUE(writeCampaignPartial(paths.back(), partial));
   }
   return paths;
 }
@@ -252,33 +244,25 @@ TEST(AccumulateTest, MergeRejectsGridPointsTheShardsDoNotCarry) {
   // A header claiming 2^40 grid points must fail with the culprit file
   // named, before the merger sizes its grid from it (bad_alloc before).
   constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
-  for (const PartialFormat format :
-       {PartialFormat::kJson, PartialFormat::kBinary}) {
-    const bool binary = format == PartialFormat::kBinary;
-    const std::vector<std::string> paths =
-        writeShardPair(binary ? "huge_grid_bin" : "huge_grid_json", format,
-                       kHuge);
-    try {
-      mergeCampaignPartialFiles(paths);
-      FAIL() << "inflated grid_points must not merge";
-    } catch (const std::runtime_error& error) {
-      const std::string what = error.what();
-      EXPECT_NE(what.find(paths[0]), std::string::npos) << what;
-      EXPECT_NE(what.find("grid_points " + std::to_string(kHuge)),
-                std::string::npos)
-          << what;
-    }
-    std::vector<CampaignPartial> partials;
-    for (const std::string& path : paths) {
-      partials.push_back(readCampaignPartial(path));
-    }
-    EXPECT_THROW(mergeCampaignPartials(std::move(partials)),
-                 std::runtime_error);
+  const std::vector<std::string> paths = writeShardPair("huge_grid", kHuge);
+  try {
+    mergeCampaignPartialFiles(paths);
+    FAIL() << "inflated grid_points must not merge";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(paths[0]), std::string::npos) << what;
+    EXPECT_NE(what.find("grid_points " + std::to_string(kHuge)),
+              std::string::npos)
+        << what;
   }
+  std::vector<CampaignPartial> partials;
+  for (const std::string& path : paths) {
+    partials.push_back(readCampaignPartial(path));
+  }
+  EXPECT_THROW(mergeCampaignPartials(std::move(partials)),
+               std::runtime_error);
   // The honest pair still merges.
-  EXPECT_EQ(mergeCampaignPartialFiles(
-                writeShardPair("honest_grid", PartialFormat::kBinary, 4))
-                .size(),
+  EXPECT_EQ(mergeCampaignPartialFiles(writeShardPair("honest_grid", 4)).size(),
             4u);
 }
 
@@ -287,31 +271,16 @@ TEST(AccumulateTest, BinaryPointCountIsBoundedByThePointsSection) {
   // (checksum repaired) agree with each other, so only the streaming
   // reader's count-versus-section-bytes bound stands between them and
   // the merger's allocation.
-  std::vector<std::string> paths =
-      writeShardPair("huge_count", PartialFormat::kBinary, 4);
-  std::string bytes;
-  {
-    std::ifstream in(paths[0], std::ios::binary);
-    bytes.assign((std::istreambuf_iterator<char>(in)),
-                 std::istreambuf_iterator<char>());
-  }
-  // Section table entry 1 is the points section (no checkpoint); the
-  // header ends with grid_points, job_count and the point count.
-  util::BinReader table(bytes);
-  for (int i = 0; i < 16 + 24 + 8; ++i) table.u8("skip");
+  const std::vector<std::string> paths = writeShardPair("huge_count", 4);
+  std::string bytes = slurp(paths[0]);
+  // The header ends with grid_points, job_count and the point count,
+  // right before the points section.
   const std::size_t pointsOffset =
-      static_cast<std::size_t>(table.u64("points offset"));
-  const auto putU64 = [&bytes](std::size_t at, std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      bytes[at + static_cast<std::size_t>(i)] =
-          static_cast<char>((value >> (8 * i)) & 0xff);
-    }
-  };
+      vanet::testing::sectionOffset(bytes, vanet::testing::kPointsSection);
   constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
-  putU64(pointsOffset - 24, kHuge);  // grid_points
-  putU64(pointsOffset - 8, kHuge);   // point-record count
-  putU64(bytes.size() - 8, util::fnv1a64(bytes.data(), bytes.size() - 8));
-  std::ofstream(paths[0], std::ios::binary | std::ios::trunc) << bytes;
+  vanet::testing::putU64(bytes, pointsOffset - 24, kHuge);  // grid_points
+  vanet::testing::putU64(bytes, pointsOffset - 8, kHuge);   // point count
+  dump(paths[0], vanet::testing::withFixedChecksum(bytes));
   try {
     mergeCampaignPartialFiles(paths);
     FAIL() << "inflated point count must not merge";
@@ -322,27 +291,32 @@ TEST(AccumulateTest, BinaryPointCountIsBoundedByThePointsSection) {
   }
 }
 
-TEST(AccumulateTest, ParseRejectsWrongFormatAndVersion) {
-  EXPECT_THROW(parseCampaignPartial("{}"), std::runtime_error);
-  EXPECT_THROW(parseCampaignPartial("not json at all {"),
-               std::runtime_error);
-  EXPECT_THROW(
-      parseCampaignPartial(
-          R"({"format":"vanet-campaign-partial","version":999})"),
-      std::runtime_error);
-  EXPECT_THROW(parseCampaignPartial(R"({"format":"other","version":1})"),
-               std::runtime_error);
+TEST(AccumulateTest, ReadRejectsWrongFormatAndVersion) {
+  const std::string path = ::testing::TempDir() + "/not_a_partial";
+  for (const std::string text :
+       {"", "{}", "not json at all {",
+        R"({"format":"vanet-campaign-partial","version":999})",
+        R"({"format":"other","version":1})"}) {
+    dump(path, text);
+    try {
+      readCampaignPartial(path);
+      FAIL() << "must not read: " << text;
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()).rfind(path + ": ", 0), 0u)
+          << error.what();
+    }
+  }
 }
 
 TEST(AccumulateTest, PartialFileWriteReadRoundTrip) {
   CampaignConfig config = urbanCampaign();
   config.shard = Shard{0, 2};
   const CampaignResult result = runCampaign(config);
-  const std::string path = ::testing::TempDir() + "/shard0.json";
+  const std::string path = ::testing::TempDir() + "/rw_shard0.part";
   ASSERT_TRUE(writeCampaignPartial(path, campaignPartial(result)));
   const CampaignPartial back = readCampaignPartial(path);
-  EXPECT_EQ(campaignPartialJson(back),
-            campaignPartialJson(campaignPartial(result)));
+  EXPECT_EQ(campaignPartialBinary(back),
+            campaignPartialBinary(campaignPartial(result)));
   EXPECT_THROW(readCampaignPartial(path + ".missing"), std::runtime_error);
 }
 
@@ -359,8 +333,7 @@ TEST(AccumulateTest, Int64RoundsSurviveSerialization) {
   partial.totalPoints = 1;
   partial.totalJobs = 1;
   partial.points.push_back(std::move(point));
-  const CampaignPartial back =
-      parseCampaignPartial(campaignPartialJson(partial));
+  const CampaignPartial back = throughFile(partial, "int64_rounds.part");
   ASSERT_EQ(back.points.size(), 1u);
   EXPECT_EQ(back.points[0].rounds, 3000000000LL);
 }

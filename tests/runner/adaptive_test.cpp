@@ -1,8 +1,8 @@
 /// \file adaptive_test.cpp
 /// Adaptive (CI95-targeted) replication: the wave schedule, the stop
 /// rule, and the determinism guarantees -- byte-identity across thread
-/// counts, streaming, and shard processes -- plus the v2 partial format
-/// and its backward-compatible v1 reader.
+/// counts, streaming, and shard processes -- plus the adaptive header the
+/// v3 partial format carries.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 
 #include "runner/campaign.h"
 #include "runner/emit.h"
+#include "runner/partial_binary.h"
+#include "testing/partial_files.h"
 
 namespace vanet::runner {
 namespace {
@@ -185,7 +187,7 @@ TEST(AdaptiveTest, RealScenarioByteIdenticalAcrossThreads) {
 
 TEST(AdaptiveTest, TwoShardsMergeBitIdenticalToSingleProcess) {
   // Shards exchange nothing: every point's wave trajectory runs wholly
-  // inside its shard, so folding the v2 partials reproduces the
+  // inside its shard, so folding the shard partials reproduces the
   // unsharded bytes exactly.
   CampaignConfig config = adaptiveConfig(0.2, 2, 32);
   config.grid.add("noise", {0.0, 0.001, 1.0, 2.0});
@@ -197,8 +199,8 @@ TEST(AdaptiveTest, TwoShardsMergeBitIdenticalToSingleProcess) {
   for (int shard = 0; shard < 2; ++shard) {
     config.shard = Shard{shard, 2};
     const CampaignResult result = runCampaign(config);
-    partials.push_back(
-        parseCampaignPartial(campaignPartialJson(campaignPartial(result))));
+    partials.push_back(vanet::testing::throughFile(
+        campaignPartial(result), "adaptive_shard" + std::to_string(shard)));
   }
   const CampaignResult merged = resultFromPartials(std::move(partials));
   EXPECT_EQ(campaignPointsJson(merged), campaignPointsJson(reference));
@@ -216,86 +218,73 @@ TEST(AdaptiveTest, PartialRoundTripCarriesAdaptiveHeader) {
   config.base.set("noise", 1.0);
   const CampaignResult result = runCampaign(config);
   const CampaignPartial partial = campaignPartial(result);
-  const std::string text = campaignPartialJson(partial);
-  EXPECT_NE(text.find("\"version\":2"), std::string::npos);
-  EXPECT_NE(text.find("\"target_ci\":0.1"), std::string::npos);
-  EXPECT_NE(text.find("\"target_metric\":\"m\""), std::string::npos);
-  EXPECT_NE(text.find("\"achieved_ci95\":"), std::string::npos);
-  const CampaignPartial parsed = parseCampaignPartial(text);
-  EXPECT_EQ(campaignPartialJson(parsed), text);  // byte-stable round trip
+  const std::string bytes = campaignPartialBinary(partial);
+  const CampaignPartial parsed =
+      vanet::testing::throughFile(partial, "adaptive_header.part");
+  EXPECT_EQ(campaignPartialBinary(parsed), bytes);  // byte-stable round trip
   EXPECT_DOUBLE_EQ(parsed.targetRelativeCi95, 0.1);
   EXPECT_EQ(parsed.minReplications, 2);
   EXPECT_EQ(parsed.maxReplications, 8);
   EXPECT_EQ(parsed.targetMetric, "m");
+  ASSERT_EQ(parsed.points.size(), 1u);
+  EXPECT_EQ(parsed.points[0].achievedCi95, partial.points[0].achievedCi95);
 }
 
-TEST(AdaptiveTest, Version1PartialsStillParse) {
-  // A v1 file is exactly a v2 file minus the adaptive header and the
-  // per-point achieved CIs: derive one from the real serializer by
-  // stripping those fields, and check the reader fills the defaults --
-  // re-serializing the parse must reproduce the v2 bytes.
-  CampaignConfig config;
-  config.scenario = noiseScenario();
-  config.masterSeed = 7;
-  config.replications = 2;
-  config.base.set("noise", 1.0);
-  const std::string v2 =
-      campaignPartialJson(campaignPartial(runCampaign(config)));
-
-  std::string v1 = v2;
-  const auto strip = [&v1](const std::string& needle) {
-    for (std::size_t at = v1.find(needle); at != std::string::npos;
-         at = v1.find(needle)) {
-      v1.erase(at, needle.size());
+TEST(AdaptiveTest, RetiredJsonPartialsAreRejected) {
+  // v1 and v2 partials were JSON documents; the v3 reader refuses both
+  // at the magic check and names the file.
+  const std::string path = ::testing::TempDir() + "/retired.json";
+  for (const int version : {1, 2}) {
+    vanet::testing::dump(
+        path, "{\n\"format\":\"vanet-campaign-partial\",\n\"version\":" +
+                  std::to_string(version) + ",\n\"points\":[\n]\n}\n");
+    try {
+      readCampaignPartial(path);
+      FAIL() << "a v" << version << " JSON partial must not read";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(),
+                   (path + ": not a binary campaign partial (bad magic)")
+                       .c_str());
     }
-  };
-  const std::size_t version = v1.find("\"version\":2");
-  ASSERT_NE(version, std::string::npos);
-  v1.replace(version, 11, "\"version\":1");
-  strip("\"target_ci\":0,\n");
-  strip("\"min_replications\":0,\n");
-  strip("\"max_replications\":0,\n");
-  strip("\"target_metric\":\"\",\n");
-  strip(",\"achieved_ci95\":0");
-  ASSERT_EQ(v1.find("achieved_ci95"), std::string::npos);
-
-  const CampaignPartial parsed = parseCampaignPartial(v1);
-  EXPECT_DOUBLE_EQ(parsed.targetRelativeCi95, 0.0);
-  EXPECT_EQ(parsed.minReplications, 0);
-  EXPECT_EQ(parsed.maxReplications, 0);
-  EXPECT_TRUE(parsed.targetMetric.empty());
-  ASSERT_EQ(parsed.points.size(), 1u);
-  EXPECT_DOUBLE_EQ(parsed.points[0].achievedCi95, 0.0);
-  EXPECT_EQ(parsed.points[0].metrics.at("m").count(), 2u);
-  // The upgraded re-serialization restores the v2 document bit for bit.
-  EXPECT_EQ(campaignPartialJson(parsed), v2);
+  }
 }
 
 TEST(AdaptiveTest, ParseRejectsMalformedAdaptiveHeader) {
-  // A corrupt v2 header (adaptive with impossible bounds) must throw at
-  // parse time -- downstream wave arithmetic assumes min >= 1.
+  // A corrupt header (adaptive with impossible bounds, checksum repaired
+  // so only the header check can catch it) must throw at read time --
+  // downstream wave arithmetic assumes 1 <= min <= max.
   CampaignConfig config = adaptiveConfig(0.1, 2, 8);
   config.base.set("noise", 1.0);
   const std::string good =
-      campaignPartialJson(campaignPartial(runCampaign(config)));
-  const auto corrupt = [&good](const std::string& from,
-                               const std::string& to) {
-    std::string text = good;
-    const std::size_t at = text.find(from);
-    EXPECT_NE(at, std::string::npos);
-    text.replace(at, from.size(), to);
-    return text;
+      campaignPartialBinary(campaignPartial(runCampaign(config)));
+  // HEADER: scenario (u32 length + bytes), master seed u64, shard index
+  // and count i32, replications i32, target CI f64, then min and max
+  // replications i32.
+  const std::size_t header =
+      vanet::testing::sectionOffset(good, vanet::testing::kHeaderSection);
+  const std::size_t minAt = header + 4 + noiseScenario().size() + 8 + 12 + 8;
+  ASSERT_EQ(good[minAt], 2);
+  ASSERT_EQ(good[minAt + 4], 8);
+  const std::string path = ::testing::TempDir() + "/bad_header.part";
+  const auto readWith = [&](std::size_t at, char value) {
+    std::string bytes = good;
+    bytes[at] = value;
+    vanet::testing::dump(path, vanet::testing::withFixedChecksum(bytes));
+    return readCampaignPartial(path);
   };
-  EXPECT_THROW(
-      parseCampaignPartial(corrupt("\"min_replications\":2",
-                                   "\"min_replications\":0")),
-      std::runtime_error);
-  EXPECT_THROW(
-      parseCampaignPartial(corrupt("\"max_replications\":8",
-                                   "\"max_replications\":1")),
-      std::runtime_error);
-  // The untouched document still parses.
-  EXPECT_NO_THROW(parseCampaignPartial(good));
+  for (const auto& [at, value] :
+       {std::pair{minAt, char{0}}, std::pair{minAt + 4, char{1}}}) {
+    try {
+      readWith(at, value);
+      FAIL() << "malformed adaptive header must not read";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind(path + ": malformed adaptive header", 0), 0u)
+          << what;
+    }
+  }
+  // The untouched bytes still read.
+  EXPECT_NO_THROW(readWith(minAt, char{2}));
 }
 
 TEST(AdaptiveTest, MergeRejectsMismatchedStopRules) {

@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,6 +14,7 @@
 #include "runner/campaign.h"
 #include "runner/emit.h"
 #include "runner/partial_binary.h"
+#include "testing/partial_files.h"
 
 namespace vanet::runner {
 namespace {
@@ -56,12 +55,7 @@ CampaignConfig mixedAdaptive() {
   return config;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << path;
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
+using vanet::testing::slurp;
 
 TEST(CheckpointTest, HaltAfterWaveWritesResumableCheckpoint) {
   const CampaignResult reference = runCampaign(mixedAdaptive());
@@ -77,7 +71,7 @@ TEST(CheckpointTest, HaltAfterWaveWritesResumableCheckpoint) {
   // marked incomplete.
   const CampaignPartial checkpoint =
       readCampaignPartial(config.checkpointPath);
-  EXPECT_TRUE(looksLikeBinaryPartial(slurp(config.checkpointPath)));
+  EXPECT_EQ(slurp(config.checkpointPath).substr(0, 8), "VNETPART");
   EXPECT_TRUE(checkpoint.hasCheckpoint);
   EXPECT_FALSE(checkpoint.checkpointComplete);
   EXPECT_EQ(checkpoint.checkpointCoveredReps, 2);  // wave 0 covers min=2
@@ -150,8 +144,7 @@ TEST(CheckpointTest, ShardedResumesMergeByteIdentical) {
     const CampaignResult result = runCampaign(sharded);
     const std::string path = ::testing::TempDir() + "/shard" +
                              std::to_string(shard) + ".part";
-    ASSERT_TRUE(writeCampaignPartial(path, campaignPartial(result),
-                                     PartialFormat::kBinary));
+    ASSERT_TRUE(writeCampaignPartial(path, campaignPartial(result)));
     partialPaths.push_back(path);
   }
   const CampaignResult merged = resultFromPartialFiles(partialPaths);
@@ -209,8 +202,7 @@ TEST(CheckpointTest, ResumeValidatesTheCheckpoint) {
   CampaignConfig donor = mixedAdaptive();
   const std::string partialPath = ::testing::TempDir() + "/finished.part";
   ASSERT_TRUE(writeCampaignPartial(partialPath,
-                                   campaignPartial(runCampaign(donor)),
-                                   PartialFormat::kBinary));
+                                   campaignPartial(runCampaign(donor))));
   CampaignConfig wrongKind = config;
   wrongKind.checkpointPath = partialPath;
   try {
@@ -242,14 +234,14 @@ TEST(CheckpointTest, UnfinishedCheckpointIsNotAMergeableShard) {
 }
 
 TEST(CheckpointTest, CheckpointRoundTripsThroughTheBinaryFormat) {
-  // The checkpoint trailer itself survives serialize -> parse ->
+  // The checkpoint trailer itself survives serialize -> read ->
   // serialize bit for bit (it rides the v3 CHECKPOINT section).
   CampaignConfig config = mixedAdaptive();
   config.checkpointPath = ::testing::TempDir() + "/roundtrip.ckpt";
   config.haltAfterWaves = 2;
   ASSERT_TRUE(runCampaign(config).halted);
   const std::string bytes = slurp(config.checkpointPath);
-  const CampaignPartial parsed = parseCampaignPartialBinary(bytes);
+  const CampaignPartial parsed = readCampaignPartial(config.checkpointPath);
   EXPECT_TRUE(parsed.hasCheckpoint);
   EXPECT_EQ(parsed.checkpointCoveredReps, 4);  // waves 0+1 cover 2, 4
   EXPECT_EQ(campaignPartialBinary(parsed), bytes);

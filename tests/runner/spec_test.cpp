@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -286,29 +288,30 @@ TEST(CampaignSpecTest, LoadPrefixesErrorsWithThePath) {
 }
 
 TEST(CampaignSpecTest, CommittedSpecsAreFixedPointsOfTheNormalizedForm) {
-  const std::vector<std::string> names = {
-      "table1",
-      "ablation_speed",
-      "ablation_platoon_size",
-      "ablation_cooperator_selection",
-      "ablation_infostation_density",
-      "ablation_bitrate",
-      "ablation_retransmission",
-      "ablation_request_batching",
-      "ablation_window_gossip",
-      "ablation_c2c_quality",
-  };
-  for (const std::string& name : names) {
-    const std::string path = std::string(VANET_SPEC_DIR "/") + name + ".json";
+  // Every committed spec and test fixture, found by scanning the
+  // directories, so a new file cannot be skipped.
+  namespace fs = std::filesystem;
+  const fs::path specDir = VANET_SPEC_DIR;
+  std::vector<fs::path> paths;
+  for (const fs::path& dir :
+       {specDir, specDir.parent_path() / "tests" / "data"}) {
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() == ".json") paths.push_back(entry.path());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_GE(paths.size(), 12u);  // the 10 specs and the 2 fixtures
+  for (const fs::path& path : paths) {
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.good()) << path;
     const std::string text((std::istreambuf_iterator<char>(in)),
                            std::istreambuf_iterator<char>());
     const CampaignSpec spec = parseCampaignSpec(text);
     // Committed specs are stored in the normalized form, so the digest
-    // recorded in manifests is also the digest of the file bytes.
+    // recorded in manifests is also the digest of the file bytes; print
+    // is then idempotent on its own output too.
     EXPECT_EQ(renderCampaignSpec(spec), text) << path;
-    EXPECT_EQ(spec.name, name) << path;
+    EXPECT_EQ(spec.name, path.stem().string()) << path;
     EXPECT_EQ(spec.seed, 2008u) << path;
     EXPECT_FALSE(spec.title.empty()) << path;
     EXPECT_FALSE(spec.paperRef.empty()) << path;

@@ -117,23 +117,6 @@ TEST(BinIoTest, StringWithBadLengthPrefixThrows) {
   EXPECT_THROW(reader.str("name"), std::runtime_error);
 }
 
-TEST(BinIoTest, ViewConsumesAndDelegates) {
-  BinWriter inner;
-  inner.u64(42);
-  BinWriter outer;
-  outer.u64(inner.size());
-  outer.raw(inner.buffer().data(), inner.size());
-  outer.u8(9);
-
-  BinReader reader(outer.buffer());
-  const std::uint64_t length = reader.u64("record length");
-  BinReader record(reader.view(length, "record"), reader.offset() - length);
-  EXPECT_EQ(record.u64("payload"), 42u);
-  EXPECT_TRUE(record.atEnd());
-  EXPECT_EQ(reader.u8("tail"), 9);
-  EXPECT_THROW(reader.view(1, "past end"), std::runtime_error);
-}
-
 TEST(BinIoTest, PatchU64FillsReservedFraming) {
   BinWriter writer;
   const std::size_t at = writer.size();
