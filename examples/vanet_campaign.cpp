@@ -12,7 +12,8 @@
 ///         --checkpoint=F --resume --halt-after-waves=K
 ///         --partial-out=F
 ///         --progress --log-level=L
-///       With --csv=DIR the spec's emit list is written into DIR, every
+///       With --csv=DIR the spec's emit list is written into DIR
+///       (created with its parents before the campaign starts), every
 ///       artefact with a manifest sidecar recording the spec path and
 ///       the digest of its normalized rendering. After the campaign
 ///       summary, the console shows the views the emit kinds name:
@@ -41,6 +42,7 @@
 #include "runner/emit.h"
 #include "runner/registry.h"
 #include "runner/spec.h"
+#include "util/file.h"
 #include "util/flags.h"
 
 namespace {
@@ -132,6 +134,18 @@ int main(int argc, char** argv) {
   }
   obs::setRunSpec(specPath, runner::campaignSpecDigest(spec));
 
+  // Create the artefact directory up front: a bad --csv must fail before
+  // the campaign spends its time, not after.
+  std::string csvDir = flags.getString("csv", "");
+  if (!csvDir.empty()) {
+    try {
+      csvDir = util::prepareOutputDir(csvDir);
+    } catch (const std::exception& error) {
+      std::cerr << "error: " << error.what() << "\n";
+      return 1;
+    }
+  }
+
   const CampaignRunFlags run = campaignRunFlags(flags, spec.seed);
   runner::CampaignConfig config = runner::campaignConfigFromSpec(spec);
   runner::applyEngineFlags(run, config);
@@ -165,12 +179,11 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << run.partialOut << "\n";
   }
 
-  const std::string dir = flags.getString("csv", "");
-  if (!dir.empty()) {
+  if (!csvDir.empty()) {
     std::vector<std::string> written;
     bool ok = false;
     try {
-      ok = runner::writeSpecArtifacts(spec, result, dir, written);
+      ok = runner::writeSpecArtifacts(spec, result, csvDir, written);
     } catch (const std::exception& error) {
       std::cerr << "error: " << error.what() << "\n";
       return 1;

@@ -386,7 +386,7 @@ void CarqAgent::sendCoopData(FlowId flow, SeqNo seq) {
 
 void CarqAgent::checkFileComplete() {
   if (fileCompleteFired_ || config_.fileSizeSeqs <= 0) return;
-  if (store_.missingInRange(1, config_.fileSizeSeqs).empty()) {
+  if (store_.holdsAll(1, config_.fileSizeSeqs)) {
     fileCompleteFired_ = true;
     if (hooks_.onFileComplete) hooks_.onFileComplete(sim_.now());
   }

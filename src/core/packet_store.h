@@ -8,10 +8,10 @@
 /// consider it as cooperator").
 
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "util/seq_set.h"
 #include "util/types.h"
 
 namespace vanet::carq {
@@ -43,6 +43,11 @@ class PacketStore {
   /// Missing packets within an explicit range (file-download mode).
   std::vector<SeqNo> missingInRange(SeqNo lo, SeqNo hi) const;
 
+  /// True when every packet in [lo, hi] is present; missingInRange(lo,
+  /// hi).empty() without building the list. O(1) while fewer than
+  /// hi - lo + 1 packets are held, the common case on the per-frame path.
+  bool holdsAll(SeqNo lo, SeqNo hi) const;
+
   std::size_t directCount() const noexcept { return direct_.size(); }
   std::size_t recoveredCount() const noexcept { return recovered_.size(); }
   std::size_t duplicateCount() const noexcept { return duplicates_; }
@@ -64,13 +69,17 @@ class PacketStore {
   std::vector<std::pair<FlowId, SeqNo>> bufferedMaxSeqs() const;
 
  private:
-  std::set<SeqNo> direct_;
-  std::set<SeqNo> recovered_;
+  struct ForeignFlow {
+    util::SeqSet seqs;
+    int payloadBytes = 0;
+  };
+
+  util::SeqSet direct_;
+  util::SeqSet recovered_;
   SeqNo firstSeen_ = 0;
   SeqNo lastSeen_ = 0;
   std::size_t duplicates_ = 0;
-  std::map<FlowId, std::set<SeqNo>> foreign_;
-  std::map<FlowId, int> foreignBytes_;
+  std::map<FlowId, ForeignFlow> foreign_;
 };
 
 }  // namespace vanet::carq

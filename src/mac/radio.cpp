@@ -26,9 +26,12 @@ void Radio::transmit(const Frame& frame, channel::PhyMode mode) {
   txHistory_.emplace_back(sim_.now(), end);
   ++framesSent_;
   // Prune history entries that can no longer overlap any in-flight frame.
+  // Ends ascend with starts (see transmittedDuring), so they are a prefix.
   const sim::SimTime horizon = sim_.now() - sim::SimTime::seconds(1.0);
-  std::erase_if(txHistory_,
-                [horizon](const auto& span) { return span.second < horizon; });
+  const auto live = std::find_if(
+      txHistory_.begin(), txHistory_.end(),
+      [horizon](const auto& span) { return span.second >= horizon; });
+  txHistory_.erase(txHistory_.begin(), live);
 }
 
 void Radio::onFrameDelivered(const Frame& frame, const RxInfo& info) {
@@ -45,10 +48,13 @@ void Radio::onFrameCorrupted(const Frame& frame, const RxInfo& info) {
 }
 
 bool Radio::transmittedDuring(sim::SimTime start, sim::SimTime end) const {
-  return std::any_of(txHistory_.begin(), txHistory_.end(),
-                     [start, end](const auto& span) {
-                       return span.first < end && start < span.second;
-                     });
+  // Spans are appended in start order and never overlap (half-duplex), so
+  // their ends ascend too: of the spans starting before `end`, the latest
+  // one reaches furthest, and it alone decides the answer.
+  for (auto span = txHistory_.rbegin(); span != txHistory_.rend(); ++span) {
+    if (span->first < end) return start < span->second;
+  }
+  return false;
 }
 
 }  // namespace vanet::mac

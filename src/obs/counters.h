@@ -11,12 +11,14 @@
 ///     simulation object or a fold order; instrumented code behaves
 ///     identically whether the registry is enabled or not, and the
 ///     byte-diff determinism suite runs with it enabled.
-///  2. *Cheap on the hot path.* A count is one relaxed fetch_add on a
-///     thread-local cell (plus one relaxed enabled-flag load), inlined
-///     at the call site through cached raw cell pointers; a scoped
-///     timer adds two steady_clock reads. Worker threads never contend:
-///     each thread owns a private slab, registered on first use and
-///     folded into the retired totals when the thread exits.
+///  2. *Cheap on the hot path.* A count is a relaxed load and a relaxed
+///     store on a thread-local cell (plus one relaxed enabled-flag
+///     load), inlined at the call site through cached raw cell
+///     pointers; a scoped timer adds two steady_clock reads. Only the
+///     owning thread ever writes its cell, so no locked read-modify-
+///     write is needed: each thread owns a private slab, registered on
+///     first use and folded into the retired totals when the thread
+///     exits. The cells stay atomics so snapshots read them untorn.
 ///  3. *Deterministic snapshots where the workload is deterministic.*
 ///     snapshot() returns name-sorted totals; counters that count
 ///     simulation work (events dispatched, frames delivered, ...) are
@@ -61,7 +63,7 @@ namespace detail {
 inline std::atomic<bool> gEnabled{true};
 
 /// The calling thread's accumulation cells, cached as raw pointers so
-/// the hot-path increment is a zero-guard TLS load plus one fetch_add.
+/// the hot-path increment is a zero-guard TLS load plus bump().
 /// Null until the slow path registers this thread's slab.
 struct ThreadCells {
   std::atomic<std::uint64_t>* counters = nullptr;
@@ -75,6 +77,14 @@ ThreadCells& initThreadCells();
 
 inline ThreadCells& threadCells() {
   return tCells.counters != nullptr ? tCells : initThreadCells();
+}
+
+/// Adds `n` to a cell of the calling thread's own slab. The owner is the
+/// cell's only writer, so a relaxed load and store replace fetch_add's
+/// locked read-modify-write; readers still see a whole value.
+inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t n) noexcept {
+  cell.store(cell.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
 }
 
 }  // namespace detail
@@ -99,8 +109,7 @@ class Counter {
 
   void add(std::uint64_t n = 1) noexcept {
     if (!enabled()) return;
-    detail::threadCells().counters[id_].fetch_add(n,
-                                                  std::memory_order_relaxed);
+    detail::bump(detail::threadCells().counters[id_], n);
   }
 
   std::size_t id() const noexcept { return id_; }
@@ -121,8 +130,8 @@ class Timer {
   void record(std::uint64_t nanos) noexcept {
     if (!enabled()) return;
     detail::ThreadCells& cells = detail::threadCells();
-    cells.timerNanos[id_].fetch_add(nanos, std::memory_order_relaxed);
-    cells.timerCounts[id_].fetch_add(1, std::memory_order_relaxed);
+    detail::bump(cells.timerNanos[id_], nanos);
+    detail::bump(cells.timerCounts[id_], 1);
   }
 
   std::size_t id() const noexcept { return id_; }

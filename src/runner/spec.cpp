@@ -1,8 +1,10 @@
 #include "runner/spec.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "analysis/csv.h"
@@ -88,6 +90,18 @@ std::int64_t intField(const json::Value& value, const std::string& key) {
   }
 }
 
+/// intField narrowed to int; out-of-range values are rejected rather
+/// than wrapped (4294967297 replications must not parse as 1).
+int int32Field(const json::Value& value, const std::string& key) {
+  const std::int64_t v = intField(value, key);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    specError("key \"" + key + "\": expected a 32-bit integer, got " +
+              std::to_string(v));
+  }
+  return static_cast<int>(v);
+}
+
 std::uint64_t uintField(const json::Value& value, const std::string& key) {
   if (value.type() != json::Value::Type::Number) {
     typeError(key, "an unsigned integer", value);
@@ -159,17 +173,15 @@ void parseAdaptive(const json::Value& value, CampaignSpec& spec) {
               "(a number > 0)");
   }
   spec.targetCi = numberField(*targetCi, "adaptive.target_ci");
-  if (spec.targetCi <= 0.0) {
-    specError("key \"adaptive.target_ci\": expected a number > 0, got " +
-              json::num(spec.targetCi));
+  if (!(spec.targetCi > 0.0) || !std::isfinite(spec.targetCi)) {
+    specError("key \"adaptive.target_ci\": expected a finite number > 0, "
+              "got " + json::num(spec.targetCi));
   }
   if (const json::Value* minReps = memberOrNull(members, "min_replications")) {
-    spec.minReplications =
-        static_cast<int>(intField(*minReps, "adaptive.min_replications"));
+    spec.minReplications = int32Field(*minReps, "adaptive.min_replications");
   }
   if (const json::Value* maxReps = memberOrNull(members, "max_replications")) {
-    spec.maxReplications =
-        static_cast<int>(intField(*maxReps, "adaptive.max_replications"));
+    spec.maxReplications = int32Field(*maxReps, "adaptive.max_replications");
   }
   if (spec.minReplications < 1 ||
       spec.maxReplications < spec.minReplications) {
@@ -369,12 +381,12 @@ CampaignSpec parseCampaignSpec(const std::string& text) {
     spec.seed = uintField(*seed, "seed");
   }
   if (const json::Value* replications = memberOrNull(members, "replications")) {
-    const std::int64_t count = intField(*replications, "replications");
+    const int count = int32Field(*replications, "replications");
     if (count < 1) {
       specError("key \"replications\": expected an integer >= 1, got " +
                 std::to_string(count));
     }
-    spec.replications = static_cast<int>(count);
+    spec.replications = count;
   }
   if (const json::Value* base = memberOrNull(members, "base")) {
     spec.base = paramsField(*base, "base");

@@ -8,11 +8,11 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "sim/time.h"
+#include "util/seq_set.h"
 #include "util/types.h"
 
 namespace vanet::trace {
@@ -74,15 +74,30 @@ class RoundTrace {
   std::size_t txCount(FlowId flow) const;
 
  private:
+  /// One flow's AP transmission log: first-copy tx time indexed by seq
+  /// (kNotSent for gaps), so a cycling file flow keeps its first pass.
+  struct FlowTx {
+    std::vector<sim::SimTime> firstTx;
+    std::size_t count = 0;
+    SeqNo maxSeq = 0;
+  };
+  /// Everything one car captured.
+  struct CarLog {
+    std::map<FlowId, util::SeqSet> overheard;
+    util::SeqSet recovered;
+    std::optional<sim::SimTime> firstAnyRx;
+    sim::SimTime lastAnyRx{};
+    std::optional<sim::SimTime> firstOwnRx;
+    std::vector<sim::SimTime> ownRxTimes;  // sorted
+  };
+  static constexpr sim::SimTime kNotSent = sim::SimTime::max();
+
+  const FlowTx* flowTx(FlowId flow) const;
+  const CarLog* carLog(NodeId car) const;
+
   std::vector<NodeId> carIds_;
-  // flow -> seq -> first-copy tx time (ordered by seq; tx is monotone).
-  std::map<FlowId, std::map<SeqNo, sim::SimTime>> tx_;
-  std::map<NodeId, std::map<FlowId, std::set<SeqNo>>> overheard_;
-  std::map<NodeId, std::set<SeqNo>> recovered_;
-  std::map<NodeId, sim::SimTime> firstOwnRx_;
-  std::map<NodeId, sim::SimTime> lastAnyRx_;
-  std::map<NodeId, sim::SimTime> firstAnyRx_;
-  std::map<NodeId, std::vector<sim::SimTime>> ownRxTimes_;
+  std::map<FlowId, FlowTx> tx_;
+  std::map<NodeId, CarLog> cars_;
   std::vector<sim::SimTime> emptyTimes_;
 };
 

@@ -3,6 +3,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <stdexcept>
+#include <system_error>
 
 namespace vanet::util {
 
@@ -26,6 +29,21 @@ bool writeFile(const std::string& path, std::string_view bytes,
     return false;
   }
   return true;
+}
+
+std::string prepareOutputDir(const std::string& dir) {
+  std::string trimmed = dir;
+  while (trimmed.size() > 1 && trimmed.back() == '/') trimmed.pop_back();
+  std::error_code error;
+  std::filesystem::create_directories(trimmed, error);
+  if (!error && !std::filesystem::is_directory(trimmed, error)) {
+    error = std::make_error_code(std::errc::not_a_directory);
+  }
+  if (error) {
+    throw std::runtime_error("cannot create output directory " + dir + ": " +
+                             error.message());
+  }
+  return trimmed;
 }
 
 }  // namespace vanet::util

@@ -20,4 +20,11 @@ namespace vanet::util {
 bool writeFile(const std::string& path, std::string_view bytes,
                LogLevel level = LogLevel::kError);
 
+/// Makes `dir` (with any missing parents) ready to receive artefacts and
+/// returns it without trailing slashes, so `dir + "/" + name` joins
+/// cleanly. Throws std::runtime_error naming `dir` when it cannot be
+/// created or a non-directory is in the way -- call it before a long run,
+/// not after.
+std::string prepareOutputDir(const std::string& dir);
+
 }  // namespace vanet::util

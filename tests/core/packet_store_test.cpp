@@ -105,6 +105,81 @@ TEST(PacketStoreTest, ContiguousWindowHasNoMissing) {
   EXPECT_TRUE(store.missingInWindow().empty());
 }
 
+TEST(PacketStoreTest, RecoveredThenDirect) {
+  // A packet recovered through cooperation can still arrive from an AP
+  // later; that copy is a new direct reception, not a duplicate.
+  PacketStore store;
+  store.noteRecovered(4);
+  store.noteDirect(4);
+  EXPECT_EQ(store.duplicateCount(), 0u);
+  EXPECT_EQ(store.directCount(), 1u);
+  EXPECT_EQ(store.recoveredCount(), 1u);
+  EXPECT_EQ(store.firstSeen(), 4);
+  EXPECT_EQ(store.lastSeen(), 4);
+  EXPECT_TRUE(store.hasOwn(4));
+  // Every further copy, by either path, is a duplicate.
+  store.noteDirect(4);
+  store.noteRecovered(4);
+  EXPECT_EQ(store.duplicateCount(), 2u);
+  EXPECT_EQ(store.directCount(), 1u);
+  EXPECT_EQ(store.recoveredCount(), 1u);
+}
+
+TEST(PacketStoreTest, DuplicateAccountingOverManyCopies) {
+  PacketStore store;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (SeqNo s = 1; s <= 100; ++s) store.noteDirect(s);
+  }
+  for (SeqNo s = 50; s <= 150; ++s) store.noteRecovered(s);
+  EXPECT_EQ(store.directCount(), 100u);
+  EXPECT_EQ(store.recoveredCount(), 50u);    // 101..150
+  EXPECT_EQ(store.duplicateCount(), 251u);   // 2 x 100 + 51 (50..100)
+  EXPECT_EQ(store.lastSeen(), 100);          // recovery never extends it
+}
+
+TEST(PacketStoreTest, BufferedMaxSeqsPerFlowInFlowOrder) {
+  PacketStore store;
+  EXPECT_TRUE(store.bufferedMaxSeqs().empty());
+  store.buffer(7, 3, 1000);
+  store.buffer(2, 90, 1000);
+  store.buffer(7, 130, 1000);  // crosses a 64-seq word
+  store.buffer(2, 12, 1000);   // lower than the max: max stays
+  store.buffer(7, 130, 1000);  // re-buffering is idempotent
+  EXPECT_EQ(store.bufferedMaxSeqs(),
+            (std::vector<std::pair<FlowId, SeqNo>>{{2, 90}, {7, 130}}));
+  EXPECT_EQ(store.bufferedCount(), 4u);
+}
+
+TEST(PacketStoreTest, FileCompletionWithGaps) {
+  constexpr SeqNo kFile = 220;
+  PacketStore store;
+  EXPECT_FALSE(store.holdsAll(1, kFile));
+  EXPECT_TRUE(store.holdsAll(5, 4));  // an empty range is complete
+  // Every seq but 1, 64, 65 and 220, partly through recovery.
+  for (SeqNo s = 2; s < kFile; ++s) {
+    if (s == 64 || s == 65) continue;
+    if (s % 3 == 0) {
+      store.noteRecovered(s);
+    } else {
+      store.noteDirect(s);
+    }
+  }
+  // Every recovered packet later also arrives directly: the two held
+  // counts now sum past the file size, yet the gaps remain.
+  for (SeqNo s = 3; s < kFile; s += 3) store.noteDirect(s);
+  ASSERT_GT(store.directCount() + store.recoveredCount(),
+            static_cast<std::size_t>(kFile));
+  for (const SeqNo gap : {1, 64, 65, kFile}) {
+    EXPECT_FALSE(store.holdsAll(1, kFile)) << "before filling " << gap;
+    EXPECT_EQ(store.holdsAll(1, kFile), store.missingInRange(1, kFile).empty());
+    store.noteRecovered(gap);
+  }
+  EXPECT_TRUE(store.holdsAll(1, kFile));
+  EXPECT_TRUE(store.missingInRange(1, kFile).empty());
+  EXPECT_TRUE(store.holdsAll(100, 120));
+  EXPECT_FALSE(store.holdsAll(1, kFile + 1));
+}
+
 // Property: missing + held == full window, for random reception patterns.
 class PacketStoreWindowProperty : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -57,6 +57,35 @@ TEST(ObsCountersTest, MergeAcrossThreadsIsExactRegardlessOfSchedule) {
             static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
 }
 
+TEST(ObsCountersTest, SnapshotsDuringConcurrentAddsAreMonotoneAndExact) {
+  // add() is a load and a store on the owning thread's cell, not a locked
+  // RMW: a concurrent reader must still see whole, never-decreasing
+  // values, and no add may be lost.
+  Counter& counter = Counter::get("test.counters.concurrent");
+  resetAll();
+  constexpr int kThreads = 4;
+  constexpr int kAddsPerThread = 50000;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&counter] {
+      for (int i = 0; i < kAddsPerThread; ++i) counter.add(3);
+    });
+  }
+  const std::uint64_t total =
+      static_cast<std::uint64_t>(kThreads) * kAddsPerThread * 3;
+  std::uint64_t last = 0;
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t seen =
+        takeSnapshot().counter("test.counters.concurrent");
+    EXPECT_GE(seen, last);
+    EXPECT_LE(seen, total);
+    EXPECT_EQ(seen % 3, 0u);
+    last = seen;
+  }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(takeSnapshot().counter("test.counters.concurrent"), total);
+}
+
 TEST(ObsCountersTest, DisabledRegistryDropsCountsAndTimersReadNoClock) {
   Counter& counter = Counter::get("test.counters.disabled");
   Timer& timer = Timer::get("test.timers.disabled");

@@ -197,6 +197,9 @@ TEST(CampaignSpecTest, SeedAndReplicationsAreValidated) {
                    {"key \"replications\"", ">= 1"});
   expectParseError(minimalSpec(",\n  \"replications\": 2.5"),
                    {"key \"replications\"", "an integer"});
+  // Out of int range is rejected, not wrapped (2^32 + 1 would become 1).
+  expectParseError(minimalSpec(",\n  \"replications\": 4294967297"),
+                   {"key \"replications\"", "32-bit integer"});
 }
 
 TEST(CampaignSpecTest, BaseParamsAreValidated) {
@@ -247,7 +250,17 @@ TEST(CampaignSpecTest, AdaptiveIsValidated) {
   expectParseError(minimalSpec(",\n  \"adaptive\": {}"),
                    {"key \"adaptive\"", "missing required key \"target_ci\""});
   expectParseError(minimalSpec(",\n  \"adaptive\": {\"target_ci\": 0}"),
-                   {"key \"adaptive.target_ci\"", "a number > 0"});
+                   {"key \"adaptive.target_ci\"", "a finite number > 0"});
+  for (const char* bad : {"nan", "inf"}) {
+    expectParseError(minimalSpec(std::string(",\n  \"adaptive\": "
+                                             "{\"target_ci\": ") +
+                                 bad + "}"),
+                     {"key \"adaptive.target_ci\"", "a finite number > 0"});
+  }
+  expectParseError(
+      minimalSpec(",\n  \"adaptive\": {\"target_ci\": 0.1,"
+                  " \"max_replications\": 4294967300}"),
+      {"key \"adaptive.max_replications\"", "32-bit integer"});
   expectParseError(
       minimalSpec(",\n  \"adaptive\": {\"target_ci\": 0.1,"
                   " \"min_replications\": 0}"),

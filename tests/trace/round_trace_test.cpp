@@ -97,6 +97,54 @@ TEST(RoundTraceTest, SeqsTransmittedDuringFiltersByTime) {
   EXPECT_EQ(seqs, (std::vector<SeqNo>{3, 4, 5, 6}));
 }
 
+TEST(RoundTraceTest, CyclingFileFlowKeepsFirstPass) {
+  // File-download mode: the AP cycles seqs 1..N, so every seq is
+  // first-transmitted (copy 0) again on each pass. The log keeps the
+  // first pass only, like the seq-keyed map it mirrors.
+  constexpr SeqNo kFile = 70;  // crosses a 64-seq word
+  RoundTrace trace = threeCars();
+  const auto at = [](int pass, SeqNo seq) {
+    return SimTime::millis(1000.0 * pass + 10.0 * seq);
+  };
+  for (int pass = 0; pass < 3; ++pass) {
+    for (SeqNo seq = 1; seq <= kFile; ++seq) {
+      trace.recordApTx(2, seq, 0, at(pass, seq));
+      trace.recordApTx(2, seq, 1, at(pass, seq) + SimTime::millis(1.0));
+    }
+  }
+  EXPECT_EQ(trace.txCount(2), static_cast<std::size_t>(kFile));
+  EXPECT_EQ(trace.maxSeqTransmitted(2), kFile);
+  ASSERT_TRUE(trace.txTime(2, 65).has_value());
+  EXPECT_EQ(*trace.txTime(2, 65), at(0, 65));
+  EXPECT_FALSE(trace.txTime(2, 0).has_value());
+  EXPECT_FALSE(trace.txTime(2, kFile + 1).has_value());
+  EXPECT_FALSE(trace.txTime(1, 1).has_value());
+  EXPECT_EQ(trace.txCount(1), 0u);
+
+  // Windows select by first-pass time and list seqs ascending.
+  EXPECT_EQ(trace.seqsTransmittedDuring(2, at(0, 62), at(0, 66)),
+            (std::vector<SeqNo>{62, 63, 64, 65, 66}));
+  EXPECT_TRUE(
+      trace.seqsTransmittedDuring(2, at(1, 1), at(2, kFile)).empty());
+  EXPECT_EQ(trace.seqsTransmittedDuring(2, SimTime::zero(), SimTime::max())
+                .size(),
+            static_cast<std::size_t>(kFile));
+}
+
+TEST(RoundTraceTest, SparseAndOutOfOrderTxLog) {
+  RoundTrace trace = threeCars();
+  trace.recordApTx(3, 200, 0, SimTime::seconds(5.0));
+  trace.recordApTx(3, 4, 0, SimTime::seconds(1.0));
+  trace.recordApTx(3, 9, 0, SimTime::seconds(9.0));
+  EXPECT_EQ(trace.txCount(3), 3u);
+  EXPECT_EQ(trace.maxSeqTransmitted(3), 200);
+  EXPECT_FALSE(trace.txTime(3, 100).has_value());
+  // Ascending by seq, not by time.
+  EXPECT_EQ(trace.seqsTransmittedDuring(3, SimTime::zero(),
+                                        SimTime::seconds(10.0)),
+            (std::vector<SeqNo>{4, 9, 200}));
+}
+
 TEST(RoundTraceTest, FirstOverhearTime) {
   RoundTrace trace = threeCars();
   EXPECT_FALSE(trace.firstOverhearTime(1).has_value());
