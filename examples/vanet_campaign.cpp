@@ -33,10 +33,7 @@
 
 #include <cstdio>
 #include <iostream>
-#include <set>
 
-#include "analysis/figures.h"
-#include "analysis/table1.h"
 #include "obs/manifest.h"
 #include "runner/campaign.h"
 #include "runner/emit.h"
@@ -54,36 +51,6 @@ int usage() {
                "       vanet_campaign print <spec.json>\n"
                "       vanet_campaign list\n");
   return 2;
-}
-
-/// Prints the console views of the spec's resolved emit kinds (see the
-/// file comment); grid points are labelled when there is more than one.
-void printEmitViews(const vanet::runner::CampaignSpec& spec,
-                    const vanet::runner::CampaignResult& result) {
-  using namespace vanet;
-  std::set<std::string> kinds;
-  for (const runner::SpecEmit& emit : runner::resolvedEmits(spec)) {
-    kinds.insert(emit.kind);
-  }
-  const bool table1 = kinds.count("table1_csv") > 0;
-  const bool figures = kinds.count("figures") > 0;
-  if (!table1 && !figures) return;
-  for (const runner::GridPointSummary& point : result.points) {
-    if (result.points.size() > 1) {
-      std::cout << "\n== grid point " << point.gridIndex << "\n";
-    }
-    if (table1) {
-      std::cout << "\n" << analysis::renderTable1(point.table1) << "\n"
-                << analysis::renderLossSummary(point.table1) << "\n";
-    }
-    if (!figures) continue;
-    for (const auto& [flow, figure] : point.figures) {
-      std::cout << "\n" << analysis::renderReceptionFigure(figure);
-    }
-    for (const auto& [flow, figure] : point.figures) {
-      std::cout << "\n" << analysis::renderCoopFigure(figure);
-    }
-  }
 }
 
 }  // namespace
@@ -169,7 +136,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   std::cout << runner::renderCampaignSummary(result, config.grid);
-  printEmitViews(spec, result);
+  std::cout << runner::renderEmitViews(spec, result);
 
   if (!run.partialOut.empty()) {
     if (!runner::writeCampaignPartial(run.partialOut,

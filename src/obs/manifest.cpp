@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "util/file.h"
@@ -99,6 +100,19 @@ std::uint64_t parseHexDigest(const std::string& text) {
     }
   }
   return digest;
+}
+
+/// `value` narrowed to int; out-of-range values are rejected rather
+/// than wrapped (a "threads" of 4294967297 must not parse as 1).
+int intField(const json::Value& value, const std::string& field) {
+  const std::int64_t v = value.asInt64();
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::runtime_error("manifest: " + field +
+                             ": expected a 32-bit integer, got " +
+                             std::to_string(v));
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -206,9 +220,9 @@ RunManifest manifestFromJson(const std::string& text) {
   manifest.buildFlags = doc.at("build_flags").asString();
   manifest.scenario = doc.at("scenario").asString();
   manifest.masterSeed = doc.at("master_seed").asUInt64();
-  manifest.threads = static_cast<int>(doc.at("threads").asInt64());
-  manifest.shardIndex = static_cast<int>(doc.at("shard_index").asInt64());
-  manifest.shardCount = static_cast<int>(doc.at("shard_count").asInt64());
+  manifest.threads = intField(doc.at("threads"), "threads");
+  manifest.shardIndex = intField(doc.at("shard_index"), "shard_index");
+  manifest.shardCount = intField(doc.at("shard_count"), "shard_count");
   manifest.streaming = doc.at("streaming").asBool();
   manifest.targetCi = doc.at("target_ci").asDouble();
   manifest.targetMetric = doc.at("target_metric").asString();
@@ -227,7 +241,7 @@ RunManifest manifestFromJson(const std::string& text) {
     row.gridIndex =
         static_cast<std::size_t>(point.at("grid_index").asUInt64());
     row.replications =
-        static_cast<int>(point.at("replications").asInt64());
+        intField(point.at("replications"), "points[].replications");
     row.achievedCi95 = point.at("achieved_ci95").asDouble();
     manifest.points.push_back(row);
   }

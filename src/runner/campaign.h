@@ -86,10 +86,9 @@ CampaignPartial campaignPartial(const CampaignResult& result);
 CampaignResult resultFromPartials(std::vector<CampaignPartial> partials);
 
 /// resultFromPartials over files: the streaming fast path of
-/// campaign_merge. Binary shard files fold point-by-point through
-/// buffered reads (peak memory one point record); JSON files fall back
-/// to the DOM reader. Formats may be mixed. Same validation -- and the
-/// same merged bytes -- as reading every file and calling
+/// campaign_merge. Binary v3 shard files fold point-by-point through
+/// buffered reads (peak memory one point record). Same validation -- and
+/// the same merged bytes -- as reading every file and calling
 /// resultFromPartials.
 CampaignResult resultFromPartialFiles(const std::vector<std::string>& paths);
 

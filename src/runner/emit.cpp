@@ -6,7 +6,10 @@
 #include <sstream>
 
 #include "analysis/csv.h"
+#include "analysis/figures.h"
+#include "analysis/table1.h"
 #include "obs/manifest.h"
+#include "runner/spec.h"
 #include "util/file.h"
 #include "util/json.h"
 
@@ -328,6 +331,38 @@ std::size_t writeCampaignFigureCsvs(const std::string& dir,
     }
   }
   return written;
+}
+
+std::string renderEmitViews(const CampaignSpec& spec,
+                            const CampaignResult& result) {
+  std::set<std::string> kinds;
+  for (const SpecEmit& emit : resolvedEmits(spec)) kinds.insert(emit.kind);
+  const bool table1 = kinds.count("table1_csv") > 0;
+  const bool figures = kinds.count("figures") > 0;
+  std::string out;
+  if (!table1 && !figures) return out;
+  for (const GridPointSummary& point : result.points) {
+    if (result.points.size() > 1) {
+      out += "\n== grid point " + std::to_string(point.gridIndex) + "\n";
+    }
+    if (table1) {
+      out += '\n';
+      out += analysis::renderTable1(point.table1);
+      out += '\n';
+      out += analysis::renderLossSummary(point.table1);
+      out += '\n';
+    }
+    if (!figures) continue;
+    for (const auto& [flow, figure] : point.figures) {
+      out += '\n';
+      out += analysis::renderReceptionFigure(figure);
+    }
+    for (const auto& [flow, figure] : point.figures) {
+      out += '\n';
+      out += analysis::renderCoopFigure(figure);
+    }
+  }
+  return out;
 }
 
 }  // namespace vanet::runner

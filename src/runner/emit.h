@@ -8,14 +8,18 @@
 /// campaignPointsJson(), campaignCsv() and figureSeriesCsv() render only
 /// deterministic fields with full-precision (%.17g) numbers: two
 /// campaigns whose merged results are bit-identical render byte-identical
-/// text, which is exactly what the determinism tests and
-/// bench_runner_scaling compare.
+/// text, which is exactly what the determinism tests compare -- every
+/// committed spec under threads, streaming, shards, resume and SIMD off
+/// in tests/runner/determinism_matrix_test.cpp
+/// (`ctest --test-dir build -R determinism_matrix`).
 
 #include <string>
 
 #include "runner/campaign.h"
 
 namespace vanet::runner {
+
+struct CampaignSpec;
 
 /// One CSV row per grid point: grid index (plus the case name when the
 /// campaign declared cases), every swept axis value, replications
@@ -73,5 +77,14 @@ std::size_t writeCampaignFigureCsvs(const std::string& dir,
 /// without failing the artefact, and the artefact bytes are untouched.
 void writeCampaignArtifactManifest(const std::string& path,
                                    const CampaignResult& result);
+
+/// The console views of the spec's resolved emit kinds: Table 1 and its
+/// loss summary per grid point for `table1_csv`, the reception and C-ARQ
+/// figures per (point, flow) for `figures`; grid points are labelled when
+/// there is more than one. Empty when the spec emits neither kind.
+/// Deterministic, so `run specs/table1.json` prints the same Table 1 and
+/// Figures 3-8 however the campaign was executed.
+std::string renderEmitViews(const CampaignSpec& spec,
+                            const CampaignResult& result);
 
 }  // namespace vanet::runner

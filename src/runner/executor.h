@@ -76,7 +76,7 @@ struct WaveHooks {
   int resumeCoveredReps = 0;
   /// Stop after this many wave barriers *this process* (< 0: run to
   /// completion). Simulates a kill at a barrier for checkpoint tests and
-  /// the CI resume smoke; the executor returns with stats.halted = true.
+  /// the determinism matrix; the executor returns with stats.halted = true.
   int haltAfterWaves = -1;
   /// Called after each wave barrier's fold + stop-rule pruning, with the
   /// wave index, the covered replication prefix, and whether the campaign

@@ -104,7 +104,7 @@ struct CampaignConfig {
   bool resume = false;
   /// Stop after this many wave barriers (< 0: run to completion); the
   /// result comes back with halted = true and no points. Simulates a
-  /// kill between waves for checkpoint tests and the CI resume smoke.
+  /// kill between waves for the checkpoint and determinism-matrix tests.
   int haltAfterWaves = -1;
 };
 

@@ -40,7 +40,8 @@
 ///
 /// `VANET_SIMD=off|0|false` (or setSimdEnabled(false)) forces the scalar
 /// bodies; because both bodies are bit-identical this must not change any
-/// emitted artefact byte (CI enforces this on the Table-1 and figure CSVs).
+/// emitted artefact byte (tests/runner/determinism_matrix_test.cpp enforces
+/// this on every committed spec).
 
 #include <cstddef>
 

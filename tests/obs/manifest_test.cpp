@@ -103,6 +103,30 @@ TEST(ObsManifestTest, RejectsForeignDocuments) {
   EXPECT_THROW(manifestFromJson("not json at all"), std::runtime_error);
 }
 
+TEST(ObsManifestTest, OutOfRangeIntegersAreRejectedNotWrapped) {
+  // 4294967297 = 2^32 + 1 would wrap to 1 through a plain int cast.
+  const std::string text = manifestJson(fullManifest());
+  for (const std::string field :
+       {"threads", "shard_index", "shard_count", "replications"}) {
+    const std::string needle = "\"" + field + "\":";
+    const std::size_t at = text.find(needle);
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::size_t valueEnd = text.find_first_of(",\n", at);
+    for (const std::string value : {"4294967297", "-2147483649"}) {
+      std::string mutated = text;
+      mutated.replace(at + needle.size(), valueEnd - at - needle.size(),
+                      value);
+      try {
+        manifestFromJson(mutated);
+        ADD_FAILURE() << field << "=" << value << " parsed";
+      } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+            << error.what();
+      }
+    }
+  }
+}
+
 TEST(ObsManifestTest, SidecarPathAppendsSuffix) {
   EXPECT_EQ(manifestPathFor("out/campaign.csv"),
             "out/campaign.csv.manifest.json");
