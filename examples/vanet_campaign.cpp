@@ -86,10 +86,8 @@ int main(int argc, char** argv) {
   if (verb != "run") return usage();
   // Engine knobs only: the experiment definition is the spec's. No
   // --seed / --rounds / --target-ci here by design -- edit the spec.
-  std::vector<std::string> known = {
-      "threads",   "shard",     "partial-out",      "checkpoint",
-      "resume",    "streaming", "halt-after-waves", "progress",
-      "log-level", "csv"};
+  std::vector<std::string> known = campaignFlagNames();
+  known.push_back("csv");
   flags.allowOnly(known);
 
   runner::CampaignSpec spec;
@@ -113,7 +111,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const CampaignRunFlags run = campaignRunFlags(flags, spec.seed);
+  const CampaignRunFlags run = campaignRunFlags(flags);
   runner::CampaignConfig config = runner::campaignConfigFromSpec(spec);
   runner::applyEngineFlags(run, config);
 

@@ -193,7 +193,7 @@ struct Snapshot {
 Snapshot takeSnapshot();
 
 /// Zeroes every counter and timer cell, live and retired. Meant for
-/// benches and tests that want per-section readings; do not call while
+/// perfbench and tests that want per-section readings; do not call while
 /// worker threads are counting.
 void resetAll() noexcept;
 

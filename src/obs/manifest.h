@@ -50,10 +50,10 @@ struct RunManifest {
   std::string targetMetric;
   double wallSeconds = 0.0;
   double jobsPerSecond = 0.0;
-  /// Spec identity of a spec-driven run (vanet_campaign / spec-backed
-  /// bench): the spec path as given on the command line and the
-  /// FNV-1a-64 digest of the normalized rendering
-  /// (runner::campaignSpecDigest). Empty / 0 for flag-assembled runs.
+  /// Spec identity of a spec-driven run (vanet_campaign): the spec path
+  /// as given on the command line and the FNV-1a-64 digest of the
+  /// normalized rendering (runner::campaignSpecDigest). Empty / 0 for
+  /// flag-assembled runs.
   std::string specPath;
   std::uint64_t specDigest = 0;
   std::vector<ManifestPoint> points;  ///< in grid order

@@ -99,6 +99,11 @@ CampaignResult runCampaign(const CampaignConfig& config) {
   }
   CampaignAccumulator accumulator(*plan);
 
+  // A halted run keeps its work only in the checkpoint file.
+  if (config.haltAfterWaves >= 0 && config.checkpointPath.empty()) {
+    throw std::invalid_argument(
+        "campaign halt-after-waves needs a checkpoint path");
+  }
   WaveHooks hooks;
   hooks.haltAfterWaves = config.haltAfterWaves;
   if (config.resume) {

@@ -105,6 +105,8 @@ struct CampaignConfig {
   /// Stop after this many wave barriers (< 0: run to completion); the
   /// result comes back with halted = true and no points. Simulates a
   /// kill between waves for the checkpoint and determinism-matrix tests.
+  /// Needs `checkpointPath`, which alone keeps the halted run's work
+  /// (runCampaign throws std::invalid_argument otherwise).
   int haltAfterWaves = -1;
 };
 

@@ -1,11 +1,10 @@
 #pragma once
 
 /// \file flags.h
-/// Tiny command-line flag parser for the examples and bench harnesses.
+/// Tiny command-line flag parser for the example and tool binaries.
 /// Accepts `--name=value`, `--name value` and bare boolean `--name`.
 /// Unknown positional arguments are collected in positional().
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,8 +31,6 @@ class Flags {
   /// Typed getters return `fallback` when the flag is absent; they abort
   /// with a clear message when the value does not parse.
   int getInt(const std::string& name, int fallback) const;
-  std::uint64_t getUInt64(const std::string& name,
-                          std::uint64_t fallback) const;
   double getDouble(const std::string& name, double fallback) const;
   std::string getString(const std::string& name, std::string fallback) const;
 
@@ -66,7 +63,6 @@ std::vector<std::string> campaignFlagNames();
 
 /// The campaign engine vocabulary shared by every campaign binary (one
 /// parser instead of per-binary copies):
-///   --seed=S           master seed
 ///   --threads=N        campaign job workers (0 = hardware concurrency)
 ///   --shard=i/N        run shard i of N (whole grid points)
 ///   --partial-out=F    write this shard's partial result (binary v3) to F
@@ -77,7 +73,8 @@ std::vector<std::string> campaignFlagNames();
 ///                      artifacts are byte-identical to an uninterrupted
 ///                      run
 ///   --halt-after-waves=K  stop after K wave barriers (kill simulation
-///                      for checkpoint tests; default: run to completion)
+///                      for checkpoint tests; needs --checkpoint;
+///                      default: run to completion)
 ///   --streaming        fold results through the bounded reordering
 ///                      window (O(points+threads) memory)
 ///   --progress         live progress lines on stderr (rate-limited,
@@ -85,7 +82,6 @@ std::vector<std::string> campaignFlagNames();
 ///   --log-level=L      error|warn|info|debug|trace; overrides the
 ///                      VANET_LOG environment variable (default warn)
 struct CampaignRunFlags {
-  std::uint64_t seed = 2008;
   int threads = 0;
   ShardSpec shard{};
   std::string partialOut;
@@ -99,7 +95,6 @@ struct CampaignRunFlags {
 /// Reads the shared campaign flags from `flags`. Also *applies* the
 /// logging flags as a side effect: `--log-level=L` (validated; abort on
 /// an unknown name) wins over the VANET_LOG environment default.
-CampaignRunFlags campaignRunFlags(const Flags& flags,
-                                  std::uint64_t defaultSeed = 2008);
+CampaignRunFlags campaignRunFlags(const Flags& flags);
 
 }  // namespace vanet

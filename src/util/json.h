@@ -64,8 +64,8 @@ class Value {
   std::vector<std::pair<std::string, Value>> object_;
 };
 
-/// Deepest array/object nesting parse() accepts. Committed specs,
-/// manifests and BENCH documents nest fewer than ten levels; the limit
+/// Deepest array/object nesting parse() accepts. Committed specs and
+/// manifests nest fewer than ten levels; the limit
 /// keeps hostile input from exhausting the stack of the recursive
 /// parser.
 inline constexpr int kMaxNestingDepth = 512;

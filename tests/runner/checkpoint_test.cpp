@@ -215,6 +215,21 @@ TEST(CheckpointTest, ResumeValidatesTheCheckpoint) {
   }
 }
 
+TEST(CheckpointTest, HaltWithoutCheckpointPathIsRejected) {
+  // A halted run keeps its work only in the checkpoint: halting without
+  // one would discard every finished wave and still report success.
+  CampaignConfig config = mixedAdaptive();
+  config.haltAfterWaves = 1;
+  try {
+    runCampaign(config);
+    FAIL() << "halt-after-waves without a checkpoint path must not run";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("needs a checkpoint path"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(CheckpointTest, UnfinishedCheckpointIsNotAMergeableShard) {
   CampaignConfig config = mixedAdaptive();
   config.checkpointPath = ::testing::TempDir() + "/notashard.ckpt";

@@ -382,7 +382,6 @@ TEST(CampaignSpecTest, ApplyEngineFlagsLeavesTheExperimentAlone) {
   run.checkpoint = "ck.bin";
   run.resume = true;
   run.haltAfterWaves = 5;
-  run.seed = 999;  // deliberately ignored: the seed belongs to the spec
 
   CampaignConfig config = campaignConfigFromSpec(richSpec());
   applyEngineFlags(run, config);

@@ -74,13 +74,6 @@ TEST(FlagsTest, NegativeNumbers) {
   EXPECT_EQ(f.getInt("offset", 0), -3);
 }
 
-TEST(FlagsTest, UInt64HoldsFullSeedRange) {
-  // Master seeds are 64-bit; getInt would truncate them.
-  const Flags f = parse({"--seed=18446744073709551615"});
-  EXPECT_EQ(f.getUInt64("seed", 0), 18446744073709551615ull);
-  EXPECT_EQ(f.getUInt64("missing", 2008), 2008u);
-}
-
 TEST(FlagsTest, ShardSpecParses) {
   const Flags f = parse({"--shard=1/4"});
   const ShardSpec shard = f.getShard("shard");
@@ -99,10 +92,9 @@ TEST(FlagsTest, ShardSpecDefaultsWhenAbsentOrBare) {
 }
 
 TEST(FlagsTest, CampaignRunFlagsReadSharedVocabulary) {
-  const Flags f = parse({"--seed=99", "--threads=3", "--shard=1/2",
+  const Flags f = parse({"--threads=3", "--shard=1/2",
                          "--partial-out=/tmp/p.json", "--streaming"});
   const CampaignRunFlags run = campaignRunFlags(f);
-  EXPECT_EQ(run.seed, 99u);
   EXPECT_EQ(run.threads, 3);
   EXPECT_EQ(run.shard.index, 1);
   EXPECT_EQ(run.shard.count, 2);
@@ -112,7 +104,6 @@ TEST(FlagsTest, CampaignRunFlagsReadSharedVocabulary) {
 
 TEST(FlagsTest, CampaignRunFlagsDefaults) {
   const CampaignRunFlags run = campaignRunFlags(parse({}));
-  EXPECT_EQ(run.seed, 2008u);
   EXPECT_EQ(run.threads, 0);
   EXPECT_EQ(run.shard.count, 1);
   EXPECT_TRUE(run.partialOut.empty());
