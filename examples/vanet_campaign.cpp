@@ -8,7 +8,7 @@
 ///       Runs the spec. The experiment definition (scenario, cases,
 ///       grid, seed, replication policy, emit list) lives entirely in
 ///       the spec; the flags steer only the engine:
-///         --threads=N --shard=i/N --streaming
+///         --threads=N --shard=i/N
 ///         --checkpoint=F --resume --halt-after-waves=K
 ///         --partial-out=F
 ///         --progress --log-level=L

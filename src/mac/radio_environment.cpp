@@ -196,7 +196,13 @@ void RadioEnvironment::deliver(ActiveTx* tx) {
 
   const channel::LinkBudget& budget = link_.budget();
   const int bits = frameBits(tx->frame.bytes);
-  const double noiseMw = dbmToMilliwatt(budget.noiseFloorDbm);
+  if (budget.noiseFloorDbm != noiseFloorKeyDbm_) {
+    noiseFloorKeyDbm_ = budget.noiseFloorDbm;
+    noiseMw_ = dbmToMilliwatt(budget.noiseFloorDbm);
+    noiseOnlyDbm_ = milliwattToDbm(noiseMw_);
+  }
+  const double noiseMw = noiseMw_;
+  const double noiseOnlyDbm = noiseOnlyDbm_;
 
   // The overlap set is a property of the transmission, not the receiver:
   // hoist it out of the gate loop (active_ then recent_, the accumulation
@@ -217,7 +223,6 @@ void RadioEnvironment::deliver(ActiveTx* tx) {
       overlap_.push_back(other);
     }
   }
-  const double noiseOnlyDbm = milliwattToDbm(noiseMw);
 
   // Stage 1 -- gates, one pass over the contiguous plan array: half-duplex,
   // sensitivity, capture-vs-interference. No RNG is consumed here, so

@@ -16,6 +16,7 @@
 /// carrier sense / interference accumulation are O(1) array reads.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -146,6 +147,12 @@ class RadioEnvironment {
   std::vector<std::uint32_t> survivorIdx_;  ///< plan indices past the gates
   std::vector<double> survivorSinrDb_;
   std::vector<double> survivorPSuccess_;
+  /// The budget's noise floor in mW and back in dBm, cached per floor
+  /// value: deliver() needs both, and the floor only changes with the
+  /// budget. NaN until the first delivery (NaN equals nothing).
+  double noiseFloorKeyDbm_ = std::numeric_limits<double>::quiet_NaN();
+  double noiseMw_ = 0.0;
+  double noiseOnlyDbm_ = 0.0;
   std::uint64_t nextFrameId_ = 1;
   MediumStats stats_;
 };

@@ -22,10 +22,10 @@
 ///  3. *Deterministic snapshots where the workload is deterministic.*
 ///     snapshot() returns name-sorted totals; counters that count
 ///     simulation work (events dispatched, frames delivered, ...) are
-///     byte-stable across --threads / --streaming / shards because the
-///     jobs themselves are. Scheduling-dependent counters (reorder-window
-///     stalls) and all timers are measurements of *this* run, not of the
-///     workload, and are excluded from any determinism claim.
+///     byte-stable across --threads / shards because the jobs themselves
+///     are. Scheduling-dependent counters (fold-cap stalls) and all
+///     timers are measurements of *this* run, not of the workload, and
+///     are excluded from any determinism claim.
 ///
 /// Naming scheme: dot-separated hierarchy, `<layer>.<event>` --
 /// `sim.events_dispatched`, `mac.frames_delivered`, `round.kernel`,
@@ -196,12 +196,6 @@ Snapshot takeSnapshot();
 /// perfbench and tests that want per-section readings; do not call while
 /// worker threads are counting.
 void resetAll() noexcept;
-
-/// Deterministic JSON rendering of a snapshot: two objects keyed by the
-/// sorted names, `{"counters":{...},"timers":{"name":{"count":..,
-/// "total_ns":..}}}`. Zero-count entries are kept so schema consumers
-/// see the full vocabulary that was interned.
-std::string snapshotJson(const Snapshot& snapshot);
 
 }  // namespace vanet::obs
 

@@ -183,8 +183,6 @@ std::string manifestJson(const RunManifest& manifest) {
   out += "\"threads\":" + std::to_string(manifest.threads) + ",\n";
   out += "\"shard_index\":" + std::to_string(manifest.shardIndex) + ",\n";
   out += "\"shard_count\":" + std::to_string(manifest.shardCount) + ",\n";
-  out += std::string("\"streaming\":") +
-         (manifest.streaming ? "true" : "false") + ",\n";
   out += "\"target_ci\":" + num(manifest.targetCi) + ",\n";
   out += "\"target_metric\":" + quote(manifest.targetMetric) + ",\n";
   out += "\"wall_seconds\":" + num(manifest.wallSeconds) + ",\n";
@@ -223,7 +221,6 @@ RunManifest manifestFromJson(const std::string& text) {
   manifest.threads = intField(doc.at("threads"), "threads");
   manifest.shardIndex = intField(doc.at("shard_index"), "shard_index");
   manifest.shardCount = intField(doc.at("shard_count"), "shard_count");
-  manifest.streaming = doc.at("streaming").asBool();
   manifest.targetCi = doc.at("target_ci").asDouble();
   manifest.targetMetric = doc.at("target_metric").asString();
   manifest.wallSeconds = doc.at("wall_seconds").asDouble();

@@ -6,7 +6,7 @@
 /// `<out>`, the writer drops `<out>.manifest.json` next to it recording
 /// *how the bytes were produced*: git revision and build flags of the
 /// binary, the full command line, the master seed, the parallelism
-/// settings (threads / shard / streaming), wall time, and the per-point
+/// settings (threads / shard), wall time, and the per-point
 /// replication / achieved-CI table.
 ///
 /// Manifests are out-of-band observability: they are separate files, so
@@ -44,7 +44,6 @@ struct RunManifest {
   int threads = 0;
   int shardIndex = 0;
   int shardCount = 1;
-  bool streaming = false;
   /// Adaptive stop rule of the run; 0 / empty when fixed-count.
   double targetCi = 0.0;
   std::string targetMetric;

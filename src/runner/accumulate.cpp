@@ -39,9 +39,9 @@ void CampaignAccumulator::fold(std::size_t shardSlot, int replication,
   }
   GridPointSummary& point = points_[shardSlot];
   // Per-point ascending replications without gaps: merges only combine
-  // state within one point, so this ordering (which every backend's
-  // wave + window discipline guarantees) is exactly what makes the
-  // merged bytes a pure function of the plan.
+  // state within one point, so this ordering (which the executor's
+  // per-point lanes guarantee) is exactly what makes the merged bytes a
+  // pure function of the plan.
   if (replication != point.replications) {
     throw std::logic_error(
         "campaign fold out of order: point slot " + std::to_string(shardSlot) +
@@ -96,7 +96,7 @@ bool CampaignAccumulator::pointDone(std::size_t shardSlot) const {
 }
 
 bool CampaignAccumulator::complete() const noexcept {
-  if (!adaptive_) return folded_ == expectedJobs_;
+  if (!adaptive_) return folded_.load() == expectedJobs_;
   for (std::size_t slot = 0; slot < points_.size(); ++slot) {
     if (!pointDone(slot)) return false;
   }
@@ -106,7 +106,7 @@ bool CampaignAccumulator::complete() const noexcept {
 std::vector<GridPointSummary> CampaignAccumulator::take() {
   if (!complete()) {
     throw std::logic_error("campaign fold incomplete: " +
-                           std::to_string(folded_) + " of " +
+                           std::to_string(folded_.load()) + " of " +
                            std::to_string(expectedJobs_) +
                            " planned jobs folded");
   }

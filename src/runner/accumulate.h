@@ -10,6 +10,7 @@
 /// Welford merge state as raw IEEE-754 payloads, results reassembled
 /// from shard files are bit-identical to a single-process run.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -48,9 +49,10 @@ struct GridPointSummary {
 
 /// Folds job results into the shard's grid-point summaries. Each point's
 /// replications must fold in ascending order without gaps -- exactly the
-/// order the executor's waves and reordering window release results --
-/// so the merged bytes are a pure function of the plan, never of
-/// scheduling. It also owns the adaptive stop rule: pointDone() is a
+/// order the executor's per-point lanes release results -- so the merged
+/// bytes are a pure function of the plan, never of scheduling. Folds of
+/// *different* points may run concurrently: a fold touches only its own
+/// point's summary and the atomic job count. It also owns the adaptive stop rule: pointDone() is a
 /// pure function of the folded state, which is what keeps the wave
 /// schedule identical at any thread count and across shard processes.
 class CampaignAccumulator {
@@ -60,10 +62,10 @@ class CampaignAccumulator {
   /// Folds replication `replication` of the shard's `shardSlot`-th point
   /// (an index into plan.shardPointIndices()). Throws std::logic_error
   /// when the slot is out of range or the replication is not the point's
-  /// next one.
+  /// next one. Thread-safe across distinct slots, never within one.
   void fold(std::size_t shardSlot, int replication, const JobResult& result);
 
-  std::size_t foldedJobs() const noexcept { return folded_; }
+  std::size_t foldedJobs() const noexcept { return folded_.load(); }
 
   /// Fixed mode: every planned job folded. Adaptive mode: every point
   /// done (converged or at the replication cap).
@@ -111,7 +113,7 @@ class CampaignAccumulator {
   int maxReplications_ = 1;
   std::string targetMetric_;
   std::size_t expectedJobs_ = 0;
-  std::size_t folded_ = 0;
+  std::atomic<std::size_t> folded_{0};
 };
 
 /// A shard's serialized contribution: the campaign identity (so merging

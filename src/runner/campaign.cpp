@@ -133,8 +133,8 @@ CampaignResult runCampaign(const CampaignConfig& config) {
     progress = std::make_unique<obs::ProgressReporter>(plan->shardJobCount());
   }
   const ExecutionStats stats =
-      executeCampaign(*plan, config.threads, config.streaming, accumulator,
-                      progress.get(), hooks);
+      executeCampaign(*plan, config.threads, accumulator, progress.get(),
+                      hooks);
 
   OBS_SCOPED_TIMER("campaign.accumulate");
   CampaignResult merged;
@@ -150,7 +150,6 @@ CampaignResult runCampaign(const CampaignConfig& config) {
   merged.waves = stats.waves;
   merged.shard = config.shard;
   merged.threads = stats.threads;
-  merged.streaming = stats.streaming;
   merged.jobCount = stats.jobsRun;
   merged.totalPoints = plan->points().size();
   merged.totalJobs = plan->totalJobCount();

@@ -3,14 +3,15 @@
 /// \file campaign.h
 /// The top of the campaign pipeline: runCampaign() composes the three
 /// layers -- plan (plan.h: case x grid expansion, job layout, per-job
-/// seed derivation), execute (executor.h: thread-pool backends, buffered
-/// or streaming), accumulate (accumulate.h: job-order fold plus shard
-/// partial serialization) -- into the one-call API every driver and
-/// example uses. Per-job determinism comes from
+/// seed derivation), execute (executor.h: the thread pool and its
+/// per-point ordered fold), accumulate (accumulate.h: the per-point fold
+/// plus shard partial serialization) -- into the one-call API every
+/// driver and example uses. Per-job determinism comes from
 /// Rng::deriveStreamSeed(masterSeed, jobIndex): each job owns a private
 /// RNG stream that is a pure function of the master seed and its index,
-/// and results are folded strictly in job order, so the merged output is
-/// bit-identical no matter how many threads -- or shard processes -- ran.
+/// and each point folds its results in replication order, so the merged
+/// output is bit-identical no matter how many threads -- or shard
+/// processes -- ran.
 
 #include <cstddef>
 #include <cstdint>
@@ -44,13 +45,12 @@ struct CampaignResult {
   int waves = 0;         ///< replication waves executed (1 when fixed)
   Shard shard{};         ///< which slice this process ran
   int threads = 0;           ///< workers actually used
-  bool streaming = false;    ///< executor backend used
   std::size_t jobCount = 0;  ///< jobs run by this process
   std::size_t totalPoints = 0;  ///< full-grid point count
   /// Full job-index space of the plan (upper bound when adaptive).
   std::size_t totalJobs = 0;
-  /// High-water mark of completed-but-unfolded JobResults (streaming
-  /// mode is bounded by streamingWindowCap(threads)).
+  /// High-water mark of parked (completed-but-unfolded) JobResults;
+  /// never more than 2 x threads.
   std::size_t peakBufferedResults = 0;
   double wallSeconds = 0.0;
   double jobsPerSecond = 0.0;

@@ -62,7 +62,6 @@ void writeCampaignArtifactManifest(const std::string& path,
   manifest.threads = result.threads;
   manifest.shardIndex = result.shard.index;
   manifest.shardCount = result.shard.count;
-  manifest.streaming = result.streaming;
   manifest.targetCi = result.targetRelativeCi95;
   manifest.targetMetric = result.targetMetric;
   manifest.wallSeconds = result.wallSeconds;

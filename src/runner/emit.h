@@ -9,7 +9,7 @@
 /// deterministic fields with full-precision (%.17g) numbers: two
 /// campaigns whose merged results are bit-identical render byte-identical
 /// text, which is exactly what the determinism tests compare -- every
-/// committed spec under threads, streaming, shards, resume and SIMD off
+/// committed spec under threads, shards, resume and SIMD off
 /// in tests/runner/determinism_matrix_test.cpp
 /// (`ctest --test-dir build -R determinism_matrix`).
 

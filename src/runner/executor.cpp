@@ -1,18 +1,13 @@
 #include "runner/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
-#include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "obs/counters.h"
 #include "obs/progress.h"
-#include "util/reorder.h"
 #include "util/thread_pool.h"
 
 namespace vanet::runner {
@@ -27,30 +22,6 @@ int resolveThreadCount(int requested, std::size_t jobCount) {
     threads = static_cast<int>(jobCount);
   }
   return threads > 0 ? threads : 1;
-}
-
-/// One wave entry: which shard point slot it folds into, and the fully
-/// derived job.
-struct WaveJob {
-  std::size_t shardSlot = 0;
-  JobSpec spec;
-};
-
-/// The wave's job list: replications [fromRep, toRep) of every open
-/// point, point-major -- the global job order restricted to the wave,
-/// and therefore (per point) ascending replications without gaps.
-std::vector<WaveJob> buildWave(const CampaignPlan& plan,
-                               const std::vector<std::size_t>& openSlots,
-                               int fromRep, int toRep) {
-  std::vector<WaveJob> jobs;
-  jobs.reserve(openSlots.size() * static_cast<std::size_t>(toRep - fromRep));
-  for (const std::size_t slot : openSlots) {
-    const std::size_t pointIndex = plan.shardPointIndices()[slot];
-    for (int rep = fromRep; rep < toRep; ++rep) {
-      jobs.push_back(WaveJob{slot, plan.pointJob(pointIndex, rep)});
-    }
-  }
-  return jobs;
 }
 
 JobResult runJob(const CampaignPlan& plan, const JobSpec& spec) {
@@ -75,73 +46,100 @@ JobResult runJob(const CampaignPlan& plan, const JobSpec& spec) {
   }
 }
 
-/// Buffered backend: collect the wave, then fold once the pool drains.
-std::size_t executeWaveBuffered(const CampaignPlan& plan,
-                                const std::vector<WaveJob>& jobs, int threads,
-                                CampaignAccumulator& into,
-                                obs::ProgressReporter* progress) {
-  std::vector<JobResult> results(jobs.size());
-  std::atomic<std::size_t> nextJob{0};
-  std::mutex errorMutex;
-  std::exception_ptr firstError;
-
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = nextJob.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      try {
-        results[i] = runJob(plan, jobs[i].spec);
-        if (progress != nullptr) progress->jobDone();
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(errorMutex);
-        if (!firstError) firstError = std::current_exception();
-        nextJob.store(jobs.size(), std::memory_order_relaxed);  // drain
-        return;
-      }
-    }
-  };
-  util::runWorkers(threads, worker);
-  if (firstError) std::rethrow_exception(firstError);
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    into.fold(jobs[i].shardSlot, jobs[i].spec.replication, results[i]);
-  }
-  return jobs.size();  // the peak: every wave result was buffered at once
-}
-
-/// Streaming backend: the bounded job-order reordering window of
-/// util/reorder.h.
-std::size_t executeWaveStreaming(const CampaignPlan& plan,
-                                 const std::vector<WaveJob>& jobs, int threads,
-                                 CampaignAccumulator& into,
-                                 obs::ProgressReporter* progress) {
-  return util::foldOrdered<JobResult>(
-      jobs.size(), threads, streamingWindowCap(threads),
-      [&plan, &jobs, progress](std::size_t i) {
-        JobResult result = runJob(plan, jobs[i].spec);
-        if (progress != nullptr) progress->jobDone();
-        return result;
-      },
-      [&into, &jobs](std::size_t i, JobResult& result) {
-        into.fold(jobs[i].shardSlot, jobs[i].spec.replication, result);
-      });
-}
-
 }  // namespace
 
-std::size_t streamingWindowCap(int threads) noexcept {
-  return util::reorderWindowCap(threads);
+WaveFold::WaveFold(CampaignAccumulator& into, std::vector<std::size_t> lanes,
+                   int fromRep, int toRep, std::size_t parkCap)
+    : into_(into),
+      fromRep_(fromRep),
+      width_(static_cast<std::size_t>(std::max(0, toRep - fromRep))),
+      cap_(std::max<std::size_t>(1, parkCap)) {
+  lanes_.reserve(lanes.size());
+  for (const std::size_t slot : lanes) {
+    lanes_.push_back(Lane{slot, fromRep, false});
+  }
+  parked_.reserve(cap_);
+}
+
+bool WaveFold::claim(std::size_t& job) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto claimable = [this] {
+    return failed_ || nextJob_ >= jobCount() ||
+           parked_.size() + running_ < cap_;
+  };
+  // A stall = the parked set is full and this worker must sleep until a
+  // lane drains. Scheduling-dependent, so observability only -- never
+  // part of the determinism contract. The counter keeps the name of the
+  // job-order window it replaced, which perfbench's work counts exclude.
+  if (!claimable()) OBS_COUNT("util.reorder.stalls");
+  claimable_.wait(lock, claimable);
+  if (failed_ || nextJob_ >= jobCount()) return false;
+  job = nextJob_++;
+  ++running_;
+  return true;
+}
+
+void WaveFold::complete(std::size_t job, JobResult result) {
+  const std::size_t laneIndex = job / width_;
+  int replication = replicationOf(job);
+  std::unique_lock<std::mutex> lock(mutex_);
+  --running_;
+  claimable_.notify_all();
+  if (failed_) return;
+  Lane& lane = lanes_[laneIndex];
+  if (lane.folding || replication != lane.next) {
+    parked_.push_back(Parked{laneIndex, replication, std::move(result)});
+    peakParked_ = std::max(peakParked_, parked_.size());
+    return;
+  }
+  // This worker owns the lane until no parked successor is left; the
+  // fold itself runs unlocked, concurrently with other lanes' folds.
+  lane.folding = true;
+  for (;;) {
+    lock.unlock();
+    into_.fold(lane.slot, replication, result);
+    lock.lock();
+    lane.next = replication + 1;
+    const auto successor =
+        std::find_if(parked_.begin(), parked_.end(), [&](const Parked& p) {
+          return p.lane == laneIndex && p.replication == lane.next;
+        });
+    if (successor == parked_.end()) break;
+    replication = successor->replication;
+    result = std::move(successor->result);
+    parked_.erase(successor);
+    claimable_.notify_all();
+  }
+  lane.folding = false;
+}
+
+void WaveFold::fail(std::exception_ptr error) noexcept {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!error_) error_ = error;
+  failed_ = true;
+  claimable_.notify_all();
+}
+
+void WaveFold::rethrowIfFailed() const {
+  if (error_) std::rethrow_exception(error_);
+}
+
+std::size_t WaveFold::peakParked() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return peakParked_;
 }
 
 ExecutionStats executeCampaign(const CampaignPlan& plan, int requestedThreads,
-                               bool streaming, CampaignAccumulator& into,
+                               CampaignAccumulator& into,
                                obs::ProgressReporter* progress,
                                const WaveHooks& hooks) {
   OBS_SCOPED_TIMER("campaign.execute");
   const std::size_t jobCount = plan.shardJobCount();
   ExecutionStats stats;
   stats.threads = resolveThreadCount(requestedThreads, jobCount);
-  stats.streaming = streaming;
+  // Every worker can have one job running and one result parked before
+  // a lane's missing replication lands.
+  const std::size_t parkCap = 2 * static_cast<std::size_t>(stats.threads);
 
   const auto started = std::chrono::steady_clock::now();
 
@@ -166,19 +164,32 @@ ExecutionStats executeCampaign(const CampaignPlan& plan, int requestedThreads,
   }
   for (; !open.empty(); ++wave) {
     const int waveEnd = plan.waveEndReplication(wave);
-    const std::vector<WaveJob> jobs =
-        buildWave(plan, open, coveredReps, waveEnd);
+    WaveFold fold(into, open, coveredReps, waveEnd, parkCap);
     OBS_COUNT("campaign.waves");
     if (progress != nullptr) {
-      progress->beginWave(wave, jobs.size(), open.size(),
+      progress->beginWave(wave, fold.jobCount(), open.size(),
                           plan.shardPointIndices().size());
     }
-    const std::size_t peak =
-        streaming
-            ? executeWaveStreaming(plan, jobs, stats.threads, into, progress)
-            : executeWaveBuffered(plan, jobs, stats.threads, into, progress);
-    stats.peakBufferedResults = std::max(stats.peakBufferedResults, peak);
-    stats.jobsRun += jobs.size();
+    util::runWorkers(stats.threads, [&] {
+      std::size_t job = 0;
+      while (fold.claim(job)) {
+        try {
+          const JobSpec spec = plan.pointJob(
+              plan.shardPointIndices()[fold.slotOf(job)],
+              fold.replicationOf(job));
+          JobResult result = runJob(plan, spec);
+          if (progress != nullptr) progress->jobDone();
+          fold.complete(job, std::move(result));
+        } catch (...) {
+          fold.fail(std::current_exception());
+          return;
+        }
+      }
+    });
+    fold.rethrowIfFailed();
+    stats.peakBufferedResults =
+        std::max(stats.peakBufferedResults, fold.peakParked());
+    stats.jobsRun += fold.jobCount();
     stats.waves += 1;
     coveredReps = waveEnd;
     if (coveredReps >= plan.replications()) {

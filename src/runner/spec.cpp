@@ -512,7 +512,6 @@ CampaignConfig campaignConfigFromSpec(const CampaignSpec& spec) {
 void applyEngineFlags(const CampaignRunFlags& run, CampaignConfig& config) {
   config.threads = run.threads;
   config.shard = Shard{run.shard.index, run.shard.count};
-  config.streaming = run.streaming;
   config.progress = run.progress;
   config.checkpointPath = run.checkpoint;
   config.resume = run.resume;

@@ -125,9 +125,8 @@ void Flags::allowOnly(const std::vector<std::string>& known) const {
 }
 
 std::vector<std::string> campaignFlagNames() {
-  return {"threads",          "shard",     "partial-out", "checkpoint",
-          "resume",           "halt-after-waves", "streaming", "progress",
-          "log-level"};
+  return {"threads", "shard",            "partial-out", "checkpoint",
+          "resume",  "halt-after-waves", "progress",    "log-level"};
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {
@@ -152,7 +151,6 @@ CampaignRunFlags campaignRunFlags(const Flags& flags) {
     std::exit(2);
   }
   run.haltAfterWaves = flags.getInt("halt-after-waves", -1);
-  run.streaming = flags.getBool("streaming", false);
   run.progress = flags.getBool("progress", false);
   if (flags.has("log-level")) {
     const std::string level = flags.getString("log-level", "");

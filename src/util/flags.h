@@ -75,8 +75,6 @@ std::vector<std::string> campaignFlagNames();
 ///   --halt-after-waves=K  stop after K wave barriers (kill simulation
 ///                      for checkpoint tests; needs --checkpoint;
 ///                      default: run to completion)
-///   --streaming        fold results through the bounded reordering
-///                      window (O(points+threads) memory)
 ///   --progress         live progress lines on stderr (rate-limited,
 ///                      `progress: `-prefixed; results are unchanged)
 ///   --log-level=L      error|warn|info|debug|trace; overrides the
@@ -88,7 +86,6 @@ struct CampaignRunFlags {
   std::string checkpoint;     ///< per-wave checkpoint file; empty = off
   bool resume = false;        ///< restore from `checkpoint` first
   int haltAfterWaves = -1;    ///< stop after K barriers (< 0: run all)
-  bool streaming = false;
   bool progress = false;
 };
 

@@ -2,9 +2,9 @@
 
 /// \file thread_pool.h
 /// The worker-thread vocabulary of the campaign executor
-/// (src/runner/executor.cpp) and util/reorder.h's ordered fold: the one
-/// parallel layer, whose job outputs fold in index order, so the bytes
-/// never depend on the worker count.
+/// (src/runner/executor.cpp): the one parallel layer, whose job outputs
+/// fold per point in replication order, so the bytes never depend on the
+/// worker count.
 
 #include <functional>
 
@@ -17,7 +17,7 @@ int hardwareThreads() noexcept;
 /// spawned plus the calling thread. `workers` <= 1 calls it inline on
 /// the calling thread. Joins every spawned thread before returning;
 /// `worker` must not throw (wrap the body, park the error, rethrow after
-/// -- see util/reorder.h's foldOrdered for the canonical pattern).
+/// -- see executeCampaign for the canonical pattern).
 void runWorkers(int workers, const std::function<void()>& worker);
 
 }  // namespace vanet::util

@@ -74,7 +74,9 @@ foreach(name ${expected})
                    "${WORK_DIR}/uninterrupted/${name}")
 endforeach()
 
-# Refused: a halt with no checkpoint to keep the work (1) and an
-# experiment knob on the engine command line (2).
+# Refused: a halt with no checkpoint to keep the work (1), an
+# experiment knob on the engine command line (2) and the removed
+# streaming backend's flag (2).
 run(1 "${CAMPAIGN}" run "${adaptive}" --halt-after-waves=1)
 run(2 "${CAMPAIGN}" run "${platoon}" --seed=1)
+run(2 "${CAMPAIGN}" run "${platoon}" --streaming)

@@ -76,11 +76,6 @@ TEST(ObsInvarianceTest, WorkCountersEqualAcrossScheduleAxes) {
   obs::resetAll();
   runCampaign(config);
   EXPECT_EQ(workCounters(obs::takeSnapshot()), serial);
-
-  config.streaming = true;
-  obs::resetAll();
-  runCampaign(config);
-  EXPECT_EQ(workCounters(obs::takeSnapshot()), serial);
 }
 
 TEST(ObsInvarianceTest, ShardCountersSumToTheFullRun) {

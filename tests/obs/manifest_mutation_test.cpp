@@ -35,7 +35,6 @@ std::vector<std::string> sidecars() {
   full.scenario = "urban";
   full.masterSeed = 2008;
   full.threads = 4;
-  full.streaming = true;
   full.targetCi = 0.05;
   full.targetMetric = "pdr";
   full.wallSeconds = 0.4375;

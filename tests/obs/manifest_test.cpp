@@ -22,7 +22,6 @@ RunManifest fullManifest() {
   manifest.threads = 2;
   manifest.shardIndex = 1;
   manifest.shardCount = 3;
-  manifest.streaming = true;
   manifest.targetCi = 0.05;
   manifest.targetMetric = "pct_lost_after";
   manifest.wallSeconds = 1.25;
@@ -46,7 +45,6 @@ TEST(ObsManifestTest, RoundTripsEveryField) {
   EXPECT_EQ(parsed.threads, original.threads);
   EXPECT_EQ(parsed.shardIndex, original.shardIndex);
   EXPECT_EQ(parsed.shardCount, original.shardCount);
-  EXPECT_EQ(parsed.streaming, original.streaming);
   EXPECT_DOUBLE_EQ(parsed.targetCi, original.targetCi);
   EXPECT_EQ(parsed.targetMetric, original.targetMetric);
   EXPECT_DOUBLE_EQ(parsed.wallSeconds, original.wallSeconds);
@@ -69,10 +67,11 @@ TEST(ObsManifestTest, RenderParseRenderIsByteExact) {
   EXPECT_EQ(manifestJson(manifestFromJson(empty)), empty);
 }
 
-TEST(ObsManifestTest, ParsesSidecarsThatStillCarryRoundThreads) {
-  // Sidecars written before the round-worker axis was removed record a
-  // "round_threads" key. Fields are read by name, so the stale key is
-  // ignored and every other field still parses.
+TEST(ObsManifestTest, ParsesSidecarsThatStillCarryRemovedKeys) {
+  // Sidecars written before the round-worker axis and the streaming
+  // backend were removed record "round_threads" and "streaming" keys.
+  // Fields are read by name, so the stale keys are ignored and every
+  // other field still parses.
   const std::string older =
       "{\n\"format\":\"vanet-run-manifest\",\n\"version\":1,\n"
       "\"artifact\":\"out/campaign.json\",\n"
@@ -95,6 +94,7 @@ TEST(ObsManifestTest, ParsesSidecarsThatStillCarryRoundThreads) {
   ASSERT_EQ(parsed.points.size(), 1u);
   EXPECT_EQ(parsed.points[0].replications, 8);
   EXPECT_EQ(manifestJson(parsed).find("round_threads"), std::string::npos);
+  EXPECT_EQ(manifestJson(parsed).find("streaming"), std::string::npos);
 }
 
 TEST(ObsManifestTest, RejectsForeignDocuments) {

@@ -1,7 +1,7 @@
 /// \file adaptive_test.cpp
 /// Adaptive (CI95-targeted) replication: the wave schedule, the stop
 /// rule, and the determinism guarantees -- byte-identity across thread
-/// counts, streaming, and shard processes -- plus the adaptive header the
+/// counts and shard processes -- plus the adaptive header the
 /// v3 partial format carries.
 
 #include <gtest/gtest.h>
@@ -143,7 +143,7 @@ TEST(AdaptiveTest, StoppedPointRanTheFixedCountSeedPrefix) {
   EXPECT_DOUBLE_EQ(a.sum, b.sum);
 }
 
-TEST(AdaptiveTest, ByteIdenticalAcrossThreadsAndStreaming) {
+TEST(AdaptiveTest, ByteIdenticalAcrossThreads) {
   CampaignConfig config = adaptiveConfig(0.2, 2, 32);
   config.grid.add("noise", {0.0, 0.001, 1.0});
   config.threads = 1;
@@ -152,14 +152,9 @@ TEST(AdaptiveTest, ByteIdenticalAcrossThreadsAndStreaming) {
   const std::string referenceCsv = campaignCsv(serial);
   for (const int threads : {2, 8}) {
     config.threads = threads;
-    config.streaming = false;
-    const CampaignResult buffered = runCampaign(config);
-    EXPECT_EQ(campaignPointsJson(buffered), referenceJson);
-    EXPECT_EQ(campaignCsv(buffered), referenceCsv);
-    config.streaming = true;
-    const CampaignResult streaming = runCampaign(config);
-    EXPECT_EQ(campaignPointsJson(streaming), referenceJson);
-    EXPECT_EQ(campaignCsv(streaming), referenceCsv);
+    const CampaignResult parallel = runCampaign(config);
+    EXPECT_EQ(campaignPointsJson(parallel), referenceJson);
+    EXPECT_EQ(campaignCsv(parallel), referenceCsv);
   }
 }
 
@@ -179,7 +174,6 @@ TEST(AdaptiveTest, RealScenarioByteIdenticalAcrossThreads) {
   const CampaignResult serial = runCampaign(config);
   EXPECT_EQ(serial.targetMetric, "pdr");
   config.threads = 4;
-  config.streaming = true;
   const CampaignResult parallel = runCampaign(config);
   EXPECT_EQ(campaignPointsJson(serial), campaignPointsJson(parallel));
   EXPECT_EQ(campaignCsv(serial), campaignCsv(parallel));

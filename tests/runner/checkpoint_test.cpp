@@ -1,7 +1,7 @@
 /// \file checkpoint_test.cpp
 /// Per-wave checkpoint/resume: a campaign killed at a wave barrier and
 /// restarted from its checkpoint file must emit byte-identical final
-/// artefacts -- across thread counts, streaming mode, and shard merges --
+/// artefacts -- across thread counts and shard merges --
 /// and a checkpoint must never be mistaken for a finished shard partial.
 
 #include <gtest/gtest.h>
@@ -105,12 +105,12 @@ TEST(CheckpointTest, EveryInterruptionPointResumesByteIdentical) {
   }
 }
 
-TEST(CheckpointTest, ResumeIsByteIdenticalAcrossThreadsAndStreaming) {
+TEST(CheckpointTest, ResumeIsByteIdenticalAcrossThreads) {
   CampaignConfig config = mixedAdaptive();
   config.threads = 1;
   const CampaignResult reference = runCampaign(config);
 
-  // Die single-threaded, resume on 4 streaming workers: the fold state
+  // Die single-threaded, resume on 4 workers: the fold state
   // in the checkpoint is execution-order independent.
   config.checkpointPath = ::testing::TempDir() + "/threads.ckpt";
   config.haltAfterWaves = 2;
@@ -118,7 +118,6 @@ TEST(CheckpointTest, ResumeIsByteIdenticalAcrossThreadsAndStreaming) {
   config.haltAfterWaves = -1;
   config.resume = true;
   config.threads = 4;
-  config.streaming = true;
   const CampaignResult resumed = runCampaign(config);
   EXPECT_EQ(campaignPointsJson(resumed), campaignPointsJson(reference));
   EXPECT_EQ(campaignCsv(resumed), campaignCsv(reference));

@@ -2,12 +2,11 @@
 /// The engine's determinism claim, checked on every committed study: a
 /// campaign's artefacts are a pure function of (spec, seed). Each
 /// specs/*.json and tests/data/*.json runs unmodified, in process,
-/// through runCampaign + writeSpecArtifacts. A threads=1 buffered run is
-/// the reference; each variant writes into its own temp directory and
-/// must reproduce it:
+/// through runCampaign + writeSpecArtifacts. A threads=1 run is the
+/// reference; each variant writes into its own temp directory and must
+/// reproduce it:
 ///
-///   threads4   4 workers, buffered
-///   streaming  4 workers, bounded reordering window
+///   threads4   4 workers, each point folding as its replications finish
 ///   shards     2 shards written as binary v3 partials, folded back with
 ///              resultFromPartialFiles (what campaign_merge does)
 ///   resume     halted at the first wave barrier with a checkpoint, then
@@ -23,9 +22,14 @@
 ///
 /// Each (spec, variant) pair is one ctest test running the reference and
 /// the variant, so `ctest -j` spreads the matrix and the per-test timeout
-/// bounds two campaign runs, not six -- which is what keeps the slower
+/// bounds two campaign runs, not five -- which is what keeps the slower
 /// specs inside it under ASan/UBSan:
 ///   ctest --test-dir build -R determinism_matrix
+///
+/// FoldBoundTest runs each spec once more, at 2 workers (the tightest
+/// parked-result cap a parallel run has), and checks the executor's
+/// memory bound on real studies: never more than 2 x threads results
+/// parked, and every job that ran folded into its point.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -108,8 +112,8 @@ class ScalarVmath {
   ScalarVmath& operator=(const ScalarVmath&) = delete;
 };
 
-const std::vector<std::string> kVariants = {"threads4", "streaming", "shards",
-                                            "resume", "simd_off"};
+const std::vector<std::string> kVariants = {"threads4", "shards", "resume",
+                                            "simd_off"};
 
 class DeterminismMatrixTest
     : public ::testing::TestWithParam<std::tuple<fs::path, std::string>> {
@@ -190,11 +194,6 @@ class DeterminismMatrixTest
   CampaignResult runVariant(const std::string& variant,
                             std::vector<std::string>& volatileKeys) {
     if (variant == "threads4") return runCampaign(config(4));
-    if (variant == "streaming") {
-      CampaignConfig streaming = config(4);
-      streaming.streaming = true;
-      return runCampaign(streaming);
-    }
     if (variant == "shards") {
       std::vector<std::string> partials;
       for (int shard = 0; shard < 2; ++shard) {
@@ -266,6 +265,29 @@ INSTANTIATE_TEST_SUITE_P(
            info) {
       return std::get<0>(info.param).stem().string() + "_" +
              std::get<1>(info.param);
+    });
+
+class FoldBoundTest : public ::testing::TestWithParam<fs::path> {};
+
+TEST_P(FoldBoundTest, ParkedResultsStayWithinTwiceTheThreads) {
+  CampaignConfig config =
+      campaignConfigFromSpec(loadCampaignSpec(GetParam().string()));
+  config.threads = 2;
+  const CampaignResult result = runCampaign(config);
+  ASSERT_EQ(result.threads, 2);
+  EXPECT_LE(result.peakBufferedResults, 2u * 2u);
+  ASSERT_EQ(result.points.size(), result.totalPoints);
+  std::size_t folded = 0;
+  for (const GridPointSummary& point : result.points) {
+    folded += static_cast<std::size_t>(point.replications);
+  }
+  EXPECT_EQ(folded, result.jobCount);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, FoldBoundTest, ::testing::ValuesIn(committedSpecPaths()),
+    [](const ::testing::TestParamInfo<FoldBoundTest::ParamType>& info) {
+      return info.param.stem().string() + "_threads2";
     });
 
 TEST(DeterminismMatrixCoverageTest, EveryCommittedSpecIsInTheMatrix) {

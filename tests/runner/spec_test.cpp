@@ -377,7 +377,6 @@ TEST(CampaignSpecTest, ApplyEngineFlagsLeavesTheExperimentAlone) {
   run.threads = 7;
   run.shard.index = 1;
   run.shard.count = 3;
-  run.streaming = true;
   run.progress = true;
   run.checkpoint = "ck.bin";
   run.resume = true;
@@ -388,7 +387,6 @@ TEST(CampaignSpecTest, ApplyEngineFlagsLeavesTheExperimentAlone) {
   EXPECT_EQ(config.threads, 7);
   EXPECT_EQ(config.shard.index, 1);
   EXPECT_EQ(config.shard.count, 3);
-  EXPECT_TRUE(config.streaming);
   EXPECT_TRUE(config.progress);
   EXPECT_EQ(config.checkpointPath, "ck.bin");
   EXPECT_TRUE(config.resume);

@@ -98,7 +98,7 @@ TEST(FlagsEdgeDeathTest, SeedIsNotAnEngineFlag) {
 TEST(FlagsTest, AllowOnlyAcceptsTheFullVocabulary) {
   // Every name in the shared campaign vocabulary passes its own check,
   // and positional arguments are never flagged.
-  const Flags flags = parse({"--checkpoint=c", "--threads=2", "--streaming",
+  const Flags flags = parse({"--checkpoint=c", "--threads=2", "--resume",
                              "--progress=true", "pos0", "pos1"});
   flags.allowOnly(campaignFlagNames());
   EXPECT_EQ(flags.positional().size(), 2u);

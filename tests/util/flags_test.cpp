@@ -93,13 +93,13 @@ TEST(FlagsTest, ShardSpecDefaultsWhenAbsentOrBare) {
 
 TEST(FlagsTest, CampaignRunFlagsReadSharedVocabulary) {
   const Flags f = parse({"--threads=3", "--shard=1/2",
-                         "--partial-out=/tmp/p.json", "--streaming"});
+                         "--partial-out=/tmp/p.json", "--progress"});
   const CampaignRunFlags run = campaignRunFlags(f);
   EXPECT_EQ(run.threads, 3);
   EXPECT_EQ(run.shard.index, 1);
   EXPECT_EQ(run.shard.count, 2);
   EXPECT_EQ(run.partialOut, "/tmp/p.json");
-  EXPECT_TRUE(run.streaming);
+  EXPECT_TRUE(run.progress);
 }
 
 TEST(FlagsTest, CampaignRunFlagsDefaults) {
@@ -107,7 +107,7 @@ TEST(FlagsTest, CampaignRunFlagsDefaults) {
   EXPECT_EQ(run.threads, 0);
   EXPECT_EQ(run.shard.count, 1);
   EXPECT_TRUE(run.partialOut.empty());
-  EXPECT_FALSE(run.streaming);
+  EXPECT_FALSE(run.progress);
 }
 
 }  // namespace
